@@ -1,8 +1,8 @@
-// EXP-ABL — ablations over the design choices DESIGN.md calls out:
+// EXP-ABL — ablations over three design choices:
 //   (a) beta (the slack target of Lemma 4.2): class count vs defect quality;
 //   (b) the base-case degree threshold: recursion depth vs sweep cost;
 //   (c) paper-p vs max-feasible-p in the space reduction.
-// These quantify the constants discussion of EXPERIMENTS.md.
+// These quantify how the paper's constants play out at simulatable Delta.
 #include <benchmark/benchmark.h>
 
 #include "bench/support.hpp"

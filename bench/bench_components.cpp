@@ -73,15 +73,16 @@ void bm_ledger_charge(benchmark::State& state) {
 }
 BENCHMARK(bm_ledger_charge);
 
-void bm_gfpoly_eval(benchmark::State& state) {
-  const GFPoly poly = GFPoly::from_integer(123456789ull, 1009, 4);
+void bm_poly_table_eval(benchmark::State& state) {
+  PolyTable table(1009, 4, 1);
+  table.set_value(0, 123456789ull);
   std::uint32_t x = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(poly.eval(x));
+    benchmark::DoNotOptimize(table.eval(0, x));
     x = (x + 1) % 1009;
   }
 }
-BENCHMARK(bm_gfpoly_eval);
+BENCHMARK(bm_poly_table_eval);
 
 void bm_next_prime(benchmark::State& state) {
   std::uint64_t x = 1000003;

@@ -73,18 +73,29 @@ void print_rounds_vs_idspace() {
               "iterated-logarithm behavior of [Lin87].\n\n");
 }
 
+/// One step at the first reduction of a random d-regular graph's line graph.
+/// Args: d, node count, id-space bits; the last leg is the e2e stressor's
+/// shape (16-regular, edge degree 30, ids scrambled into 2^31).
 void bm_linial_step(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));
-  const Graph g =
-      make_random_regular(256, d, 3).with_scrambled_ids(256 * 256, 9);
+  const int n = static_cast<int>(state.range(1));
+  const std::uint64_t id_space = std::max<std::uint64_t>(
+      1ull << state.range(2), static_cast<std::uint64_t>(n));
+  const Graph g = make_random_regular(n, d, 3).with_scrambled_ids(id_space, 9);
   const LineGraphConflict view(g, EdgeSubset::all(g));
   const InitialColoring init = initial_edge_coloring_from_ids(g);
   const LinialParams params = choose_linial_params(init.palette, g.max_edge_degree());
   for (auto _ : state) {
     benchmark::DoNotOptimize(linial_step(view, init.colors, params));
   }
+  state.counters["q"] = params.q;
+  state.counters["k"] = params.k;
 }
-BENCHMARK(bm_linial_step)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_linial_step)
+    ->Args({8, 256, 16})
+    ->Args({32, 256, 16})
+    ->Args({16, 4096, 31})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

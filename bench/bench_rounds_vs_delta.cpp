@@ -6,8 +6,8 @@
 // Dbar, Luby stays ~log n, and the BKO pipeline's cost is dominated by the
 // Delta-independent O(beta^2) class schedule plus base cases — i.e. its
 // growth in Delta is far below quadratic.  (At these scales the paper's
-// constants keep its absolute round counts above KW06 — see EXPERIMENTS.md;
-// the asymptotic picture is EXP-T2's.)
+// constants keep its absolute round counts above KW06; the asymptotic
+// picture is EXP-T2's.)
 #include <benchmark/benchmark.h>
 
 #include "bench/support.hpp"

@@ -2,7 +2,7 @@
 // clock, and the standard instance builders the experiments sweep over.
 //
 // Every bench binary prints its experiment table(s) first (the rows/series
-// DESIGN.md §5 maps to the paper's claims) and then runs its
+// that map to the paper's claims) and then runs its
 // google-benchmark micro section, so `./bench_x` with no arguments
 // regenerates the experiment.
 #pragma once

@@ -19,9 +19,14 @@
 // concurrently from the workers of an ExecBackend — the property the
 // backend-routed primitives (src/coloring/{linial,greedy,defective}) rely
 // on.
+//
+// Callback contract: for_each_neighbor borrows its callback (a NeighborFn,
+// which refers to the caller's callable without copying it) only for the
+// duration of the call; implementations must not store it.
 #pragma once
 
-#include <functional>
+#include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -31,6 +36,29 @@
 #include "src/graph/subset.hpp"
 
 namespace qplec {
+
+/// Non-owning reference to a callable taking an item id: one object pointer
+/// plus one trampoline, so passing a capturing lambda never allocates (a
+/// std::function heap-allocates captures beyond its small buffer).  It is
+/// valid only while the referenced callable lives; as a parameter, a
+/// temporary lambda outlives the call it is passed to.
+class NeighborFn {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, NeighborFn> &&
+             std::is_invocable_v<F&, int>)
+  NeighborFn(F&& fn) noexcept  // implicit: call sites pass lambdas directly
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(fn)))),
+        call_([](void* obj, int item) {
+          (*static_cast<std::remove_reference_t<F>*>(obj))(item);
+        }) {}
+
+  void operator()(int item) const { call_(obj_, item); }
+
+ private:
+  void* obj_;
+  void (*call_)(void*, int);
+};
 
 class ConflictView {
  public:
@@ -43,7 +71,8 @@ class ConflictView {
   virtual bool active(int item) const = 0;
 
   /// Enumerates the active conflicting items of `item` (item must be active).
-  virtual void for_each_neighbor(int item, const std::function<void(int)>& fn) const = 0;
+  /// `fn` is borrowed for the duration of the call only.
+  virtual void for_each_neighbor(int item, NeighborFn fn) const = 0;
 
   /// Number of active items.
   virtual int num_active() const = 0;
@@ -78,7 +107,7 @@ class LineGraphConflict final : public ConflictView {
   bool active(int item) const override { return subset_.contains(static_cast<EdgeId>(item)); }
   int num_active() const override { return subset_.size(); }
 
-  void for_each_neighbor(int item, const std::function<void(int)>& fn) const override {
+  void for_each_neighbor(int item, NeighborFn fn) const override {
     g_.for_each_edge_neighbor(static_cast<EdgeId>(item), [&](EdgeId f) {
       if (subset_.contains(f)) fn(static_cast<int>(f));
     });
@@ -106,7 +135,7 @@ class ExplicitConflict final : public ConflictView {
   }
   int num_active() const override { return num_active_; }
 
-  void for_each_neighbor(int item, const std::function<void(int)>& fn) const override {
+  void for_each_neighbor(int item, NeighborFn fn) const override {
     QPLEC_REQUIRE(active(item));
     for (int f : adj_[static_cast<std::size_t>(item)]) fn(f);
   }

@@ -132,45 +132,36 @@ class GreedyByClassProgram final : public NodeProgram {
     QPLEC_ASSERT_MSG(excluded, "shared edge missing from neighbor broadcast");
   }
 
+  /// One table per round: slots [0, deg) hold my edges' colors, then each
+  /// port's remote neighbors follow in port order.  Each edge then runs the
+  /// same first_good_point rule as linial_step over its conflict
+  /// neighborhood: my other edges + the remote endpoint's others.  phi_ is
+  /// updated in place; the table already holds this round's inputs.
   void linial_iteration(NodeContext& ctx, LinialParams params) {
-    const std::uint32_t q = params.q;
-    std::vector<std::uint64_t> next(phi_);
-    for (int p = 0; p < ctx.degree(); ++p) {
-      const std::uint64_t mine = phi_[static_cast<std::size_t>(p)];
-      const GFPoly my_poly = GFPoly::from_integer(mine, q, params.k);
-      // Conflict neighborhood: my other edges + the remote endpoint's others.
-      std::vector<GFPoly> nbrs;
-      for (int p2 = 0; p2 < ctx.degree(); ++p2) {
-        if (p2 != p) {
-          nbrs.push_back(GFPoly::from_integer(phi_[static_cast<std::size_t>(p2)], q, params.k));
-        }
-      }
-      for_each_remote_neighbor(ctx, p, [&](std::uint64_t c, Color) {
-        nbrs.push_back(GFPoly::from_integer(c, q, params.k));
-      });
-      // Identical selection rule to linial_step: scan from a color-dependent
-      // offset for the first conflict-free evaluation point.
-      const auto start = static_cast<std::uint32_t>(mine % q);
-      bool found = false;
-      for (std::uint32_t t = 0; t < q && !found; ++t) {
-        const std::uint32_t a = (start + t) % q;
-        const std::uint32_t mv = my_poly.eval(a);
-        bool good = true;
-        for (const GFPoly& other : nbrs) {
-          if (other.eval(a) == mv) {
-            good = false;
-            break;
-          }
-        }
-        if (good) {
-          next[static_cast<std::size_t>(p)] =
-              static_cast<std::uint64_t>(a) * q + static_cast<std::uint64_t>(mv);
-          found = true;
-        }
-      }
-      QPLEC_ASSERT_MSG(found, "distributed Linial found no good point");
+    const int deg = ctx.degree();
+    std::vector<std::uint64_t> values(phi_);
+    std::vector<std::uint32_t> remote_begin(static_cast<std::size_t>(deg) + 1,
+                                            static_cast<std::uint32_t>(deg));
+    for (int p = 0; p < deg; ++p) {
+      for_each_remote_neighbor(ctx, p, [&](std::uint64_t c, Color) { values.push_back(c); });
+      remote_begin[static_cast<std::size_t>(p) + 1] = static_cast<std::uint32_t>(values.size());
     }
-    phi_ = std::move(next);
+    PolyTable table(params.q, params.k, values.size());
+    for (std::size_t s = 0; s < values.size(); ++s) table.set_value(s, values[s]);
+    std::vector<std::uint32_t> nbr_slots;
+    for (int p = 0; p < deg; ++p) {
+      nbr_slots.clear();
+      for (int p2 = 0; p2 < deg; ++p2) {
+        if (p2 != p) nbr_slots.push_back(static_cast<std::uint32_t>(p2));
+      }
+      for (std::uint32_t r = remote_begin[static_cast<std::size_t>(p)];
+           r < remote_begin[static_cast<std::size_t>(p) + 1]; ++r) {
+        nbr_slots.push_back(r);
+      }
+      const std::uint64_t c = table.first_good_point(static_cast<std::size_t>(p), nbr_slots);
+      QPLEC_ASSERT_MSG(c != PolyTable::kNoGoodPoint, "distributed Linial found no good point");
+      phi_[static_cast<std::size_t>(p)] = c;
+    }
   }
 
   /// Folds the (phi, color) pairs broadcast last round into the forbidden

@@ -1,6 +1,7 @@
 #include "src/coloring/linial.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "src/common/assert.hpp"
 #include "src/common/field.hpp"
@@ -13,132 +14,84 @@ namespace qplec {
 namespace {
 
 /// Per-reduce memo of everything linial_reduce's iterations recompute
-/// identically: the active set, each active item's polynomial-table slot,
-/// and its neighbor row.  The up-to-64 steps of one reduce run over a FIXED
-/// active set in a fixed enumeration order, so the for_each_neighbor walks —
-/// a std::function-indirected scan over the FULL incident lists, filtering
-/// by subset membership (the PR 4 carry-over) — are paid once here and
-/// replayed as flat CSR rows by every subsequent step.
+/// identically: the active items, one polynomial-table slot each in
+/// increasing id order, and each slot's neighbor row as slot indices.  The
+/// up-to-64 steps of one reduce run over a FIXED active set in a fixed
+/// enumeration order, so the for_each_neighbor walks — a virtual scan over
+/// the FULL incident lists, filtering by subset membership — are paid once
+/// here and replayed as flat CSR rows by every step.
 struct LinialMemo {
-  std::vector<int> poly_index;        ///< item -> polynomial slot (-1 inactive)
-  std::vector<std::int64_t> offsets;  ///< item -> row bounds in nbr_items
-  std::vector<int> nbr_items;         ///< neighbor ids, enumeration order
+  std::vector<int> items;                 ///< slot -> item id
+  std::vector<std::int64_t> offsets;      ///< slot -> row bounds in nbr_slots
+  std::vector<std::uint32_t> nbr_slots;   ///< neighbor slots, enumeration order
 };
 
 LinialMemo build_linial_memo(const ConflictView& view, const ExecBackend& ex) {
   const trace::Span span("linial-memo", "engine");
   LinialMemo memo;
   const int n = view.num_items();
-  memo.poly_index.assign(static_cast<std::size_t>(n), -1);
-  int slots = 0;
+  std::vector<int> slot_of(static_cast<std::size_t>(n), -1);
   for (int i = 0; i < n; ++i) {
-    if (view.active(i)) memo.poly_index[static_cast<std::size_t>(i)] = slots++;
+    if (!view.active(i)) continue;
+    slot_of[static_cast<std::size_t>(i)] = static_cast<int>(memo.items.size());
+    memo.items.push_back(i);
   }
-  // Degree pass, serial prefix sum, fill pass: each item writes only its own
+  const int slots = static_cast<int>(memo.items.size());
+  // Degree pass, serial prefix sum, fill pass: each slot writes only its own
   // count/row, so the rows are identical for any backend and lane count.
-  memo.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  ex.for_indices(n, [&](int, int i) {
-    if (memo.poly_index[static_cast<std::size_t>(i)] < 0) return;
+  memo.offsets.assign(static_cast<std::size_t>(slots) + 1, 0);
+  ex.for_indices(slots, [&](int, int s) {
     std::int64_t d = 0;
-    view.for_each_neighbor(i, [&](int) { ++d; });
-    memo.offsets[static_cast<std::size_t>(i) + 1] = d;
+    view.for_each_neighbor(memo.items[static_cast<std::size_t>(s)], [&](int) { ++d; });
+    memo.offsets[static_cast<std::size_t>(s) + 1] = d;
   });
-  for (int i = 0; i < n; ++i) {
-    memo.offsets[static_cast<std::size_t>(i) + 1] += memo.offsets[static_cast<std::size_t>(i)];
+  for (int s = 0; s < slots; ++s) {
+    memo.offsets[static_cast<std::size_t>(s) + 1] += memo.offsets[static_cast<std::size_t>(s)];
   }
-  memo.nbr_items.resize(static_cast<std::size_t>(memo.offsets[static_cast<std::size_t>(n)]));
-  ex.for_indices(n, [&](int, int i) {
-    if (memo.poly_index[static_cast<std::size_t>(i)] < 0) return;
-    std::int64_t pos = memo.offsets[static_cast<std::size_t>(i)];
-    view.for_each_neighbor(i, [&](int f) {
-      memo.nbr_items[static_cast<std::size_t>(pos++)] = f;
+  memo.nbr_slots.resize(static_cast<std::size_t>(memo.offsets[static_cast<std::size_t>(slots)]));
+  ex.for_indices(slots, [&](int, int s) {
+    std::int64_t pos = memo.offsets[static_cast<std::size_t>(s)];
+    view.for_each_neighbor(memo.items[static_cast<std::size_t>(s)], [&](int f) {
+      memo.nbr_slots[static_cast<std::size_t>(pos++)] =
+          static_cast<std::uint32_t>(slot_of[static_cast<std::size_t>(f)]);
     });
   });
   return memo;
 }
 
-/// One reduction step.  `memo` (optional) replays the active set and
-/// neighbor rows instead of re-deriving them from the view; results are
-/// bit-identical either way (same slots, same enumeration order).
-std::vector<std::uint64_t> linial_step_impl(const ConflictView& view,
+/// One reduction step over the memo's active set.
+std::vector<std::uint64_t> linial_step_impl(const LinialMemo& memo,
                                             const std::vector<std::uint64_t>& colors,
-                                            LinialParams params, const ExecBackend& ex,
-                                            const LinialMemo* memo) {
-  const std::uint32_t q = params.q;
-  const int k = params.k;
-  QPLEC_REQUIRE(q >= 2);
-
-  // Precompute every active item's polynomial once (the construction pass is
-  // O(active * k) and stays serial; the eval scan below is the hot part).
-  std::vector<GFPoly> polys;
-  polys.reserve(static_cast<std::size_t>(view.num_active()));
-  std::vector<int> local_index;
-  if (memo == nullptr) {
-    local_index.assign(static_cast<std::size_t>(view.num_items()), -1);
-    for (int i = 0; i < view.num_items(); ++i) {
-      if (!view.active(i)) continue;
-      local_index[static_cast<std::size_t>(i)] = static_cast<int>(polys.size());
-      polys.push_back(GFPoly::from_integer(colors[static_cast<std::size_t>(i)], q, k));
-    }
-  } else {
-    // The memo's slot order is the same increasing-id order.
-    for (int i = 0; i < view.num_items(); ++i) {
-      if (memo->poly_index[static_cast<std::size_t>(i)] < 0) continue;
-      polys.push_back(GFPoly::from_integer(colors[static_cast<std::size_t>(i)], q, k));
-    }
+                                            LinialParams params, const ExecBackend& ex) {
+  // Every active item's polynomial, one table row per slot (the build is
+  // O(active * k) and stays serial; the point scan below is the hot part).
+  const int slots = static_cast<int>(memo.items.size());
+  PolyTable table(params.q, params.k, memo.items.size());
+  for (std::size_t s = 0; s < memo.items.size(); ++s) {
+    table.set_value(s, colors[static_cast<std::size_t>(memo.items[s])]);
   }
-  const std::vector<int>& poly_index = memo != nullptr ? memo->poly_index : local_index;
 
   // Inactive items keep their previous colors untouched.  Each active item
-  // reads the committed previous-round colors/polynomials of its neighbors
-  // and writes only next[i], so the scan fans out over the backend's lanes;
-  // the neighbor-pointer working set lives in per-lane scratch, one resident
-  // allocation per shard.
+  // reads the committed previous-round rows of its neighbors and writes only
+  // next[i], so the scan fans out over the backend's lanes.
   std::vector<std::uint64_t> next = colors;
-  LaneScratch<std::vector<const GFPoly*>> nbr_scratch(ex.lanes());
-  ex.for_indices(view.num_items(), [&](int lane, int i) {
-    const int slot = poly_index[static_cast<std::size_t>(i)];
-    if (slot < 0) return;
-    const GFPoly& mine = polys[static_cast<std::size_t>(slot)];
-    std::vector<const GFPoly*>& nbrs = nbr_scratch.lane(lane);
-    nbrs.clear();
-    const auto gather = [&](int f) {
-      QPLEC_ASSERT_MSG(colors[static_cast<std::size_t>(f)] != colors[static_cast<std::size_t>(i)],
+  ex.for_indices(slots, [&](int, int s) {
+    const auto i = static_cast<std::size_t>(memo.items[static_cast<std::size_t>(s)]);
+    const std::span<const std::uint32_t> nbrs(
+        memo.nbr_slots.data() + memo.offsets[static_cast<std::size_t>(s)],
+        memo.nbr_slots.data() + memo.offsets[static_cast<std::size_t>(s) + 1]);
+    // Rows are the colors' base-q digits, so equal rows mean equal colors;
+    // comparing rows touches only memory the point scan reads anyway.
+    const std::span<const std::uint32_t> mine = table.row(static_cast<std::size_t>(s));
+    for (const std::uint32_t f : nbrs) {
+      QPLEC_ASSERT_MSG(!std::ranges::equal(table.row(f), mine),
                        "linial_step requires a proper input coloring");
-      nbrs.push_back(&polys[static_cast<std::size_t>(poly_index[static_cast<std::size_t>(f)])]);
-    };
-    if (memo != nullptr) {
-      const std::int64_t end = memo->offsets[static_cast<std::size_t>(i) + 1];
-      for (std::int64_t pos = memo->offsets[static_cast<std::size_t>(i)]; pos < end; ++pos) {
-        gather(memo->nbr_items[static_cast<std::size_t>(pos)]);
-      }
-    } else {
-      view.for_each_neighbor(i, gather);
     }
-    // Scan evaluation points starting at a color-dependent offset (purely a
-    // simulation-speed heuristic; any good point is correct).
-    const std::uint32_t start =
-        static_cast<std::uint32_t>(colors[static_cast<std::size_t>(i)] % q);
-    bool found = false;
-    for (std::uint32_t t = 0; t < q; ++t) {
-      const std::uint32_t a = (start + t) % q;
-      const std::uint32_t mv = mine.eval(a);
-      bool good = true;
-      for (const GFPoly* other : nbrs) {
-        if (other->eval(a) == mv) {
-          good = false;
-          break;
-        }
-      }
-      if (good) {
-        next[static_cast<std::size_t>(i)] =
-            static_cast<std::uint64_t>(a) * q + static_cast<std::uint64_t>(mv);
-        found = true;
-        break;
-      }
-    }
-    QPLEC_ASSERT_MSG(found, "no good evaluation point — degree bound violated? (q=" << q
-                                << ", k=" << k << ", deg=" << nbrs.size() << ")");
+    const std::uint64_t c = table.first_good_point(static_cast<std::size_t>(s), nbrs);
+    QPLEC_ASSERT_MSG(c != PolyTable::kNoGoodPoint,
+                     "no good evaluation point — degree bound violated? (q="
+                         << params.q << ", k=" << params.k << ", deg=" << nbrs.size() << ")");
+    next[i] = c;
   });
   return next;
 }
@@ -156,7 +109,7 @@ LinialParams choose_linial_params(std::uint64_t palette, int degree_bound) {
     const std::uint64_t dk = static_cast<std::uint64_t>(d) * static_cast<std::uint64_t>(k) + 1;
     const std::uint64_t lo = std::max(dk, nth_root_ceil(palette, k + 1));
     const std::uint64_t q = next_prime(std::max<std::uint64_t>(2, lo));
-    if (q >= (1ull << 31)) continue;  // GFPoly limit; larger k will shrink q
+    if (q >= (1ull << 31)) continue;  // PolyTable's q < 2^31; larger k shrinks q
     const std::uint64_t out = q * q;
     if (out < best_out) {
       best_out = out;
@@ -172,8 +125,8 @@ LinialParams choose_linial_params(std::uint64_t palette, int degree_bound) {
 std::vector<std::uint64_t> linial_step(const ConflictView& view,
                                        const std::vector<std::uint64_t>& colors,
                                        LinialParams params, const ExecBackend* exec) {
-  return linial_step_impl(view, colors, params, exec != nullptr ? *exec : serial_backend(),
-                          nullptr);
+  const ExecBackend& ex = exec != nullptr ? *exec : serial_backend();
+  return linial_step_impl(build_linial_memo(view, ex), colors, params, ex);
 }
 
 LinialResult linial_reduce(const ConflictView& view, std::vector<std::uint64_t> colors,
@@ -202,7 +155,7 @@ LinialResult linial_reduce(const ConflictView& view, std::vector<std::uint64_t> 
     }
     {
       const trace::Span span("linial-step", "engine");
-      out.colors = linial_step_impl(view, out.colors, params, ex, &memo);
+      out.colors = linial_step_impl(memo, out.colors, params, ex);
     }
     out.palette = new_palette;
     ++out.rounds;

@@ -11,7 +11,8 @@
 // are bad, so q >= d*k + 1 guarantees a choice.  The new color is the pair
 // (a, p(a)) < q^2.  Iterating is the classic O(log* m)-round reduction
 // [Lin87]; the fixpoint palette is O(d^2) (with a constant ~4, slightly
-// larger than Linial's cover-free-family optimum — see DESIGN.md §8).
+// larger than Linial's cover-free-family optimum; bench_linial prints the
+// measured final/Dbar^2).
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,7 @@
 #include "src/common/field.hpp"
 
+#include <array>
+
 #include "src/common/assert.hpp"
 
 namespace qplec {
@@ -59,32 +61,86 @@ std::uint64_t next_prime(std::uint64_t x) {
   return x;
 }
 
-GFPoly::GFPoly(std::vector<std::uint32_t> coeffs, std::uint32_t q)
-    : coeffs_(std::move(coeffs)), q_(q) {
+PolyTable::PolyTable(std::uint32_t q, int k, std::size_t slots) : q_(q), k_(k) {
   QPLEC_REQUIRE(q_ >= 2);
   QPLEC_REQUIRE(q_ < (1u << 31));
-  QPLEC_REQUIRE(!coeffs_.empty());
-  for (std::uint32_t c : coeffs_) QPLEC_REQUIRE(c < q_);
+  QPLEC_REQUIRE(k_ >= 0 && k_ < kMaxCoeffs);
+  barrett_m_ = static_cast<std::uint64_t>((static_cast<__uint128_t>(1) << 64) / q_);
+  coeffs_.assign(slots * width(), 0);
 }
 
-GFPoly GFPoly::from_integer(std::uint64_t value, std::uint32_t q, int degree_bound) {
-  QPLEC_REQUIRE(degree_bound >= 0);
-  std::vector<std::uint32_t> coeffs(static_cast<std::size_t>(degree_bound) + 1, 0);
-  for (int i = 0; i <= degree_bound; ++i) {
-    coeffs[static_cast<std::size_t>(i)] = static_cast<std::uint32_t>(value % q);
-    value /= q;
+void PolyTable::set_value(std::size_t slot, std::uint64_t value) {
+  std::array<std::uint32_t, kMaxCoeffs> digits{};
+  for (std::size_t i = 0; i < width(); ++i) {
+    digits[i] = static_cast<std::uint32_t>(value % q_);
+    value /= q_;
   }
-  QPLEC_REQUIRE_MSG(value == 0, "value does not fit in q^(degree_bound+1)");
-  return GFPoly(std::move(coeffs), q);
+  QPLEC_REQUIRE_MSG(value == 0, "value does not fit in q^(k+1)");
+  set_coeffs(slot, std::span<const std::uint32_t>(digits.data(), width()));
 }
 
-std::uint32_t GFPoly::eval(std::uint32_t x) const {
+void PolyTable::set_coeffs(std::size_t slot, std::span<const std::uint32_t> coeffs) {
+  QPLEC_REQUIRE(slot < slots());
+  QPLEC_REQUIRE(coeffs.size() == width());
+  std::uint32_t* out = coeffs_.data() + slot * width();
+  for (std::size_t i = 0; i < width(); ++i) {
+    QPLEC_REQUIRE(coeffs[i] < q_);
+    out[width() - 1 - i] = coeffs[i];
+  }
+}
+
+std::uint32_t PolyTable::eval(std::size_t slot, std::uint32_t x) const {
+  QPLEC_REQUIRE(slot < slots());
   QPLEC_REQUIRE(x < q_);
+  return eval_row(row(slot).data(), x);
+}
+
+std::uint32_t PolyTable::eval_row(const std::uint32_t* row, std::uint32_t x) const {
   std::uint64_t acc = 0;
-  for (auto it = coeffs_.rbegin(); it != coeffs_.rend(); ++it) {
-    acc = (acc * x + *it) % q_;
-  }
+  for (std::size_t j = 0; j < width(); ++j) acc = reduce(acc * x + row[j]);
   return static_cast<std::uint32_t>(acc);
+}
+
+bool PolyTable::any_agrees(std::span<const std::uint32_t> others, std::uint32_t x,
+                           std::uint32_t v) const {
+  // Four independent Horner chains at a time, so the multiply latency of one
+  // chain overlaps the others; the verdict is the same as a one-by-one scan.
+  const std::size_t w = width();
+  const std::uint32_t* base = coeffs_.data();
+  std::size_t n = 0;
+  for (; n + 4 <= others.size(); n += 4) {
+    const std::uint32_t* r0 = base + others[n] * w;
+    const std::uint32_t* r1 = base + others[n + 1] * w;
+    const std::uint32_t* r2 = base + others[n + 2] * w;
+    const std::uint32_t* r3 = base + others[n + 3] * w;
+    std::uint64_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;
+    for (std::size_t j = 0; j < w; ++j) {
+      a0 = reduce(a0 * x + r0[j]);
+      a1 = reduce(a1 * x + r1[j]);
+      a2 = reduce(a2 * x + r2[j]);
+      a3 = reduce(a3 * x + r3[j]);
+    }
+    if (a0 == v || a1 == v || a2 == v || a3 == v) return true;
+  }
+  for (; n < others.size(); ++n) {
+    if (eval_row(base + others[n] * w, x) == v) return true;
+  }
+  return false;
+}
+
+std::uint64_t PolyTable::first_good_point(std::size_t slot,
+                                          std::span<const std::uint32_t> others) const {
+  QPLEC_REQUIRE(slot < slots());
+  const std::uint32_t* mine = row(slot).data();
+  std::uint32_t x = mine[k_];
+  for (std::uint32_t t = 0; t < q_; ++t) {
+    const std::uint32_t v = eval_row(mine, x);
+    if (!any_agrees(others, x, v)) {
+      return static_cast<std::uint64_t>(x) * q_ + v;
+    }
+    if (++x == q_) x = 0;
+  }
+  return kNoGoodPoint;
 }
 
 }  // namespace qplec

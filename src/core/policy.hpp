@@ -4,7 +4,7 @@
 //     beta = alpha * log^{4c} Delta-bar      (Lemma 4.2 slack target)
 //     p    = sqrt(Delta-bar)                 (Lemma 4.3/4.5 split factor)
 // with "a large enough constant alpha".  These only bite for astronomically
-// large Delta (see DESIGN.md §2): one color-space reduction step consumes a
+// large Delta: one color-space reduction step consumes a
 // slack factor of 24*H_{2p}*log2(p) >= 50, so beta below 50 can never afford
 // a reduction step at all.  The policy object makes the choices explicit:
 //

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <vector>
 
 #include "src/graph/generators.hpp"
 
@@ -38,6 +40,40 @@ TEST(LineGraphConflict, SubsetRestrictsNeighbors) {
   EXPECT_FALSE(view.active(1));
   EXPECT_EQ(view.degree(0), 2);
   EXPECT_EQ(view.max_degree(), 2);
+}
+
+TEST(ConflictView, NeighborCallbackKeepsEnumerationOrder) {
+  // for_each_neighbor visits the incident lists of e's endpoints in graph
+  // order, filtered by the subset, whether the callable is a temporary, a
+  // mutable lvalue or a const lvalue with captures wider than
+  // std::function's small buffer.
+  const Graph g = make_gnp(25, 0.3, 45);
+  EdgeSubset sub(g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); e += 2) sub.insert(e);
+  const LineGraphConflict view(g, sub);
+  for (EdgeId e = 0; e < g.num_edges(); e += 2) {
+    std::vector<int> expected;
+    for (const EdgeId f : g.edge_neighbors(e)) {
+      if (sub.contains(f)) expected.push_back(f);
+    }
+    std::vector<int> temp;
+    view.for_each_neighbor(e, [&](int f) { temp.push_back(f); });
+    std::vector<int> lvalue;
+    auto collect = [&lvalue](int f) { lvalue.push_back(f); };
+    view.for_each_neighbor(e, collect);
+    std::vector<int> wide;
+    const std::array<int, 8> offsets{0, 0, 0, 0, 0, 0, 0, 0};
+    const auto collect_wide = [&wide, offsets, e](int f) { wide.push_back(f + offsets[e % 8]); };
+    view.for_each_neighbor(e, collect_wide);
+    EXPECT_EQ(temp, expected) << e;
+    EXPECT_EQ(lvalue, expected) << e;
+    EXPECT_EQ(wide, expected) << e;
+  }
+  // ExplicitConflict enumerates its deduplicated, sorted adjacency.
+  const ExplicitConflict expl(6, {0, 2, 3, 5}, {{3, 5}, {3, 0}, {2, 3}, {3, 0}});
+  std::vector<int> got;
+  expl.for_each_neighbor(3, [&](int f) { got.push_back(f); });
+  EXPECT_EQ(got, (std::vector<int>{0, 2, 5}));
 }
 
 TEST(ExplicitConflict, BasicShape) {

@@ -1,4 +1,4 @@
-// The engine cross-check (DESIGN.md §6): the literal message-passing
+// The engine cross-check: the literal message-passing
 // implementation of greedy-by-class must agree color-for-color with the
 // conflict-view implementation, and its engine round count must match the
 // framework's schedule.

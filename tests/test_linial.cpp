@@ -6,8 +6,10 @@
 #include "src/coloring/validate.hpp"
 #include "src/common/field.hpp"
 #include "src/common/math.hpp"
+#include "src/dist/backend.hpp"
 #include "src/graph/generators.hpp"
 #include "src/local/ledger.hpp"
+#include "src/runtime/thread_pool.hpp"
 
 namespace qplec {
 namespace {
@@ -132,6 +134,103 @@ TEST(LinialReduce, RestrictedSubsetOnly) {
     EXPECT_EQ(res.colors[static_cast<std::size_t>(e)],
               init.colors[static_cast<std::size_t>(e)]);
   }
+}
+
+/// The step rule as first written, kept as the exact-output reference: one
+/// coefficient vector per item, Horner with a 64-bit %, neighbors gathered
+/// as pointers through the view, points scanned from color % q.
+std::vector<std::uint64_t> reference_step(const ConflictView& view,
+                                          const std::vector<std::uint64_t>& colors,
+                                          LinialParams params) {
+  const std::uint32_t q = params.q;
+  std::vector<std::vector<std::uint32_t>> polys(static_cast<std::size_t>(view.num_items()));
+  for (int i = 0; i < view.num_items(); ++i) {
+    if (!view.active(i)) continue;
+    std::uint64_t value = colors[static_cast<std::size_t>(i)];
+    for (int j = 0; j <= params.k; ++j) {
+      polys[static_cast<std::size_t>(i)].push_back(static_cast<std::uint32_t>(value % q));
+      value /= q;
+    }
+  }
+  const auto eval = [q](const std::vector<std::uint32_t>& coeffs, std::uint32_t x) {
+    std::uint64_t acc = 0;
+    for (auto it = coeffs.rbegin(); it != coeffs.rend(); ++it) acc = (acc * x + *it) % q;
+    return static_cast<std::uint32_t>(acc);
+  };
+  std::vector<std::uint64_t> next = colors;
+  for (int i = 0; i < view.num_items(); ++i) {
+    if (!view.active(i)) continue;
+    std::vector<const std::vector<std::uint32_t>*> nbrs;
+    view.for_each_neighbor(i, [&](int f) { nbrs.push_back(&polys[static_cast<std::size_t>(f)]); });
+    const auto start = static_cast<std::uint32_t>(colors[static_cast<std::size_t>(i)] % q);
+    for (std::uint32_t t = 0; t < q; ++t) {
+      const std::uint32_t a = (start + t) % q;
+      const std::uint32_t mv = eval(polys[static_cast<std::size_t>(i)], a);
+      bool good = true;
+      for (const auto* other : nbrs) good = good && eval(*other, a) != mv;
+      if (good) {
+        next[static_cast<std::size_t>(i)] = static_cast<std::uint64_t>(a) * q + mv;
+        break;
+      }
+    }
+  }
+  return next;
+}
+
+/// linial_step and linial_reduce against the reference, step by step, on the
+/// serial backend and a 4-lane sharded one.  Returns the parameter chain.
+std::vector<LinialParams> expect_reference_output(const Graph& g) {
+  const LineGraphConflict view(g, EdgeSubset::all(g));
+  const InitialColoring init = initial_edge_coloring_from_ids(g);
+  const int d = g.max_edge_degree();
+  ThreadPool pool(3);
+  const ShardedBackend sharded(g, 4, pool);
+  EXPECT_EQ(sharded.lanes(), 4);
+  const std::vector<const ExecBackend*> backends{&serial_backend(), &sharded};
+
+  std::vector<LinialParams> chain;
+  std::vector<std::uint64_t> colors = init.colors;
+  std::uint64_t palette = init.palette;
+  for (LinialParams p = choose_linial_params(palette, d); p.q != 0;
+       p = choose_linial_params(palette, d)) {
+    chain.push_back(p);
+    const std::vector<std::uint64_t> expect = reference_step(view, colors, p);
+    for (const ExecBackend* ex : backends) {
+      EXPECT_EQ(linial_step(view, colors, p, ex), expect)
+          << "step " << chain.size() << " lanes=" << ex->lanes();
+    }
+    colors = expect;
+    palette = static_cast<std::uint64_t>(p.q) * p.q;
+  }
+  for (const ExecBackend* ex : backends) {
+    RoundLedger ledger;
+    const LinialResult res = linial_reduce(view, init.colors, init.palette, d, ledger, ex);
+    EXPECT_EQ(res.colors, colors) << "lanes=" << ex->lanes();
+    EXPECT_EQ(res.palette, palette);
+    EXPECT_EQ(res.rounds, static_cast<int>(chain.size()));
+  }
+  return chain;
+}
+
+TEST(LinialStep, MatchesReferenceOnStressorShape) {
+  // 16-regular, edge degree 30, ids scrambled into 2^31: the parameter
+  // chain of the e2e stressor, starting (223, 7) -> (61, 2).
+  const Graph g = make_random_regular(512, 16, 21).with_scrambled_ids(1ull << 31, 22);
+  ASSERT_EQ(g.max_edge_degree(), 30);
+  const std::vector<LinialParams> chain = expect_reference_output(g);
+  ASSERT_GE(chain.size(), 2u);
+  EXPECT_EQ(chain[0].q, 223u);
+  EXPECT_EQ(chain[0].k, 7);
+  EXPECT_EQ(chain[1].q, 61u);
+  EXPECT_EQ(chain[1].k, 2);
+}
+
+TEST(LinialStep, MatchesReferenceWithSmallQ) {
+  // Edge degree <= 2 and a small id space: q stays in the tens.
+  const Graph g = make_cycle(300).with_scrambled_ids(2000, 23);
+  const std::vector<LinialParams> chain = expect_reference_output(g);
+  ASSERT_FALSE(chain.empty());
+  for (const LinialParams& p : chain) EXPECT_LT(p.q, 100u);
 }
 
 }  // namespace

@@ -16,6 +16,12 @@ Two checks:
    http(s)/mailto links and pure #anchors are skipped; a #fragment on a
    relative link is stripped before the existence check.
 
+3. Source doc references (always).  Every `Name.md` a comment (or string)
+   in a *.cpp/*.hpp file under src/, tests/, bench/ or examples/ cites must
+   name a file that exists: a path with a slash (docs/SERVICE.md) resolves
+   against the repository root, a bare name (ROADMAP.md) matches any *.md
+   file of that name in the repository.
+
 Usage:
   check_docs.py --repo ROOT --links-only
   check_docs.py --repo ROOT --cli-solve build/cli_solve --batch-solve build/batch_solve
@@ -31,10 +37,13 @@ import sys
 
 FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+DOC_REF_RE = re.compile(r"[A-Za-z0-9_./-]*[A-Za-z0-9_]\.md\b")
+SOURCE_DIRS = ("src", "tests", "bench", "examples")
+SOURCE_SUFFIXES = {".cpp", ".hpp"}
 BEGIN_MARK = "<!-- flags:begin -->"
 END_MARK = "<!-- flags:end -->"
 # Directories that hold generated or vendored trees, never our docs.
-SKIP_DIRS = {".git", "build", "_deps", ".cache"}
+SKIP_DIRS = {".git", "build", "_deps", ".cache", ".bench_build"}
 
 
 def fail(msg):
@@ -108,6 +117,28 @@ def check_links(repo):
     return errors
 
 
+def check_source_doc_refs(repo):
+    md_names = {md.name for md in markdown_files(repo)}
+    errors = 0
+    checked = 0
+    for top in SOURCE_DIRS:
+        for src in sorted((repo / top).rglob("*")):
+            if src.suffix not in SOURCE_SUFFIXES or not src.is_file():
+                continue
+            lines = src.read_text(encoding="utf-8").splitlines()
+            for lineno, line in enumerate(lines, start=1):
+                for ref in DOC_REF_RE.findall(line):
+                    checked += 1
+                    exists = ((repo / ref).is_file() if "/" in ref
+                              else ref in md_names)
+                    if not exists:
+                        errors += fail(f"{src.relative_to(repo)}:{lineno}: cites "
+                                       f"{ref}, which does not exist")
+    if errors == 0:
+        print(f"check_docs: {checked} source doc references resolve")
+    return errors
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repo", type=pathlib.Path, default=pathlib.Path("."),
@@ -121,7 +152,7 @@ def main():
     args = ap.parse_args()
 
     repo = args.repo.resolve()
-    errors = check_links(repo)
+    errors = check_links(repo) + check_source_doc_refs(repo)
     if not args.links_only:
         if not args.cli_solve or not args.batch_solve:
             return fail("full mode needs --cli-solve and --batch-solve "
