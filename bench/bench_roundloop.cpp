@@ -192,49 +192,6 @@ int main(int argc, char** argv) {
   std::printf("fused+sampled speedup over baseline: %5.2fx (fusion alone: %5.2fx)\n\n",
               speedup, fusion_only);
 
-  // ------------------------------------------------- greedy quantum sweep ---
-  // The ExecConfig::greedy_batch_quantum knob: how the base-case greedy
-  // batching granularity trades wall time, with quantum 1 (batching
-  // disabled) as the reference.  Informational — what IS folded into the
-  // exit-3 determinism verdict is that every quantum reproduces the gated
-  // leg's fingerprint bit for bit.
-  struct QuantumLeg {
-    int quantum;
-    double wall_ms = 0.0;
-    std::uint64_t colors_hash = 0;
-    std::int64_t rounds = 0;
-  };
-  std::vector<QuantumLeg> quantum_legs;
-  std::printf("greedy batch quantum sweep (fused/sampled schedule):\n");
-  for (const int quantum : {1, 32, 128, 512}) {
-    QuantumLeg leg{quantum, 0.0, 0, 0};
-    ExecConfig exec;
-    exec.shards = shards;
-    exec.min_sharded_edges = 0;
-    exec.shared_pool = shards > 1 ? &shard_pool : nullptr;
-    exec.fuse_supersteps = true;
-    exec.validation_tier = ValidationTier::kSampled;
-    exec.greedy_batch_quantum = quantum;
-    const Solver solver(Policy::practical(), exec);
-    for (int r = 0; r < repeats; ++r) {
-      const auto start = std::chrono::steady_clock::now();
-      const SolveResult res = solver.solve(instance);
-      const double wall = ms_since(start);
-      if (r == 0 || wall < leg.wall_ms) leg.wall_ms = wall;
-      leg.colors_hash = hash_coloring(res.colors);
-      leg.rounds = res.rounds;
-    }
-    if (leg.colors_hash != legs[1].colors_hash || leg.rounds != legs[1].rounds) {
-      std::fprintf(stderr, "DETERMINISM VIOLATION: quantum=%d diverged from gated leg\n",
-                   quantum);
-      ok = false;
-    }
-    std::printf("  quantum=%-4d wall=%9.1f ms%s\n", quantum, leg.wall_ms,
-                quantum == 1 ? "  (batching disabled)" : "");
-    quantum_legs.push_back(leg);
-  }
-  std::printf("\n");
-
   // ------------------------------------------------- ledger checkpoint cost ---
   // A recursion-shaped tree: a modest open stack above thousands of closed
   // child scopes.  total() folds the open stack; walked_total() re-walks
@@ -318,18 +275,6 @@ int main(int argc, char** argv) {
   out << "  \"ledger\": {\"incremental_ns\": " << incremental_ns
       << ", \"raw_ns\": " << raw_ns << ", \"walked_ns\": " << walked_ns
       << ", \"ratio\": " << ledger_ratio << "},\n";
-  // The quantum sweep rides as its own field: CI asserts legs has exactly
-  // the three schedule legs, so the sweep must not widen that array.
-  out << "  \"quantum_sweep\": [";
-  for (std::size_t i = 0; i < quantum_legs.size(); ++i) {
-    char qhash[32];
-    std::snprintf(qhash, sizeof(qhash), "%llx",
-                  static_cast<unsigned long long>(quantum_legs[i].colors_hash));
-    out << (i > 0 ? ", " : "") << "{\"quantum\": " << quantum_legs[i].quantum
-        << ", \"wall_ms\": " << quantum_legs[i].wall_ms << ", \"colors_hash\": \"" << qhash
-        << "\"}";
-  }
-  out << "],\n";
   out << "  \"legs\": [\n";
   for (std::size_t i = 0; i < legs.size(); ++i) {
     out << "    " << leg_json(legs[i]) << (i + 1 < legs.size() ? "," : "") << "\n";

@@ -3,7 +3,6 @@
 //   usage: batch_solve [--threads N] [--manifest file] [--out BENCH_batch.json]
 //                      [--seed N] [--quiet] [--shards N] [--sharded-min-edges M]
 //                      [--backend auto|serial|sharded|process] [--ranks N]
-//                      [--greedy-batch-quantum N]
 //                      [--no-neighbor-cache] [--no-fuse-supersteps]
 //                      [--no-result-cache] [--max-queue-depth N] [--churn N]
 //                      [--validation-tier off|sampled|every_round] [--stressors]
@@ -24,8 +23,6 @@
 // backend with --ranks worker processes (src/dist/process_backend) — the
 // fingerprints stay identical to the serial path, which is exactly what the
 // CI process-smoke leg checks against the serial golden file.
-// --greedy-batch-quantum sets the greedy batching quantum (<=1 disables
-// batching; fingerprints unchanged).
 // --no-neighbor-cache disables the incremental neighbor-color cache on every
 // solve (the full-rescan reference path; identical output) — CI diffs the
 // two reports to prove it.  --no-fuse-supersteps runs the split round-loop
@@ -52,16 +49,20 @@
 // whether each landed on the incremental repair path or fell back to a full
 // re-solve; churn failures count into the exit status.
 //
+// A numeric flag value must be the whole token and in range (e.g. --shards,
+// --ranks and --churn >= 1); anything else is a usage error with exit
+// status 2.
+//
 // Manifest format, one scenario per line ('#' comments):
 //   <family> <size> <flavor> <policy> [seed [aux]]
 //   e.g.  regular 512 two_delta practical 42 8
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 
 #include "bench/support.hpp"
+#include "examples/flag_parse.hpp"
 #include "src/dist/process_backend.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/runtime/batch_solver.hpp"
@@ -77,7 +78,7 @@ int usage() {
                "[--out BENCH_batch.json] [--seed N] [--quiet] "
                "[--shards N] [--sharded-min-edges M] "
                "[--backend auto|serial|sharded|process] [--ranks N] "
-               "[--greedy-batch-quantum N] [--no-neighbor-cache] "
+               "[--no-neighbor-cache] "
                "[--no-fuse-supersteps] [--no-result-cache] "
                "[--max-queue-depth N] [--churn N] "
                "[--validation-tier off|sampled|every_round] [--stressors] "
@@ -116,7 +117,6 @@ int main(int argc, char** argv) {
   int sharded_min_edges = -1;
   BackendKind backend = BackendKind::kAuto;
   int ranks = ExecConfig{}.ranks;
-  int greedy_batch_quantum = ExecConfig{}.greedy_batch_quantum;
   std::string manifest_path;
   std::string out_path = "BENCH_batch.json";
   std::uint64_t seed = 42;
@@ -132,11 +132,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
+      threads = cli::parse_flag(argv[++i], usage, 0);
     } else if (arg == "--shards" && i + 1 < argc) {
-      shards = std::atoi(argv[++i]);
+      shards = cli::parse_flag(argv[++i], usage, 1);
     } else if (arg == "--sharded-min-edges" && i + 1 < argc) {
-      sharded_min_edges = std::atoi(argv[++i]);
+      sharded_min_edges = cli::parse_flag(argv[++i], usage, 0);
     } else if (arg == "--backend" && i + 1 < argc) {
       const std::string kind = argv[++i];
       if (kind == "auto") {
@@ -151,15 +151,13 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (arg == "--ranks" && i + 1 < argc) {
-      ranks = std::atoi(argv[++i]);
-    } else if (arg == "--greedy-batch-quantum" && i + 1 < argc) {
-      greedy_batch_quantum = std::atoi(argv[++i]);
+      ranks = cli::parse_flag(argv[++i], usage, 1);
     } else if (arg == "--manifest" && i + 1 < argc) {
       manifest_path = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      seed = cli::parse_flag<std::uint64_t>(argv[++i], usage);
     } else if (arg == "--no-neighbor-cache") {
       neighbor_cache = false;
     } else if (arg == "--no-fuse-supersteps") {
@@ -167,10 +165,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-result-cache") {
       result_cache = false;
     } else if (arg == "--max-queue-depth" && i + 1 < argc) {
-      max_queue_depth = std::atoi(argv[++i]);
+      max_queue_depth = cli::parse_flag(argv[++i], usage, 0);
     } else if (arg == "--churn" && i + 1 < argc) {
-      churn_ops = std::atoi(argv[++i]);
-      if (churn_ops <= 0) return usage();
+      churn_ops = cli::parse_flag(argv[++i], usage, 1);
     } else if (arg == "--validation-tier" && i + 1 < argc) {
       const std::string tier = argv[++i];
       if (tier == "off") {
@@ -222,7 +219,6 @@ int main(int argc, char** argv) {
   config.shards = shards;
   config.backend = backend;
   config.ranks = ranks;
-  config.greedy_batch_quantum = greedy_batch_quantum;
   config.use_neighbor_cache = neighbor_cache;
   config.fuse_supersteps = fuse_supersteps;
   config.validation_tier = validation_tier;

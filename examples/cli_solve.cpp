@@ -3,7 +3,6 @@
 //   usage: cli_solve [--algorithm bko|greedy|kw|luby|central] [--seed N]
 //                    [--list-palette C] [--shards N] [--threads N]
 //                    [--backend auto|serial|sharded|process] [--ranks N]
-//                    [--greedy-batch-quantum N]
 //                    [--no-neighbor-cache] [--no-fuse-supersteps]
 //                    [--no-result-cache] [--max-queue-depth N]
 //                    [--validation-tier off|sampled|every_round]
@@ -22,8 +21,6 @@
 // parallel on the sharded backend (identical output), --threads caps the
 // shard workers, --backend picks the execution backend explicitly (process
 // forks --ranks message-passing workers; output stays bit-identical),
-// --greedy-batch-quantum sets the greedy batching quantum (<=1 disables
-// batching; output stays bit-identical),
 // --deadline-ms bounds the wall clock (the solve stops at a
 // round boundary with status deadline_exceeded), --no-result-cache bypasses
 // the service's memoized-outcome cache (one job per run makes it moot here;
@@ -47,6 +44,10 @@
 // MetricsRegistry in Prometheus text format after the run; --trace records
 // the solve lifecycle (queue/build/solve plus every engine pass span) and
 // writes Chrome trace_event JSON — open it in chrome://tracing.
+//
+// A numeric flag value must be the whole token and in range (e.g. --shards
+// and --ranks >= 1, --deadline-ms >= 0); anything else is a usage error with
+// exit status 2.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -54,6 +55,7 @@
 #include <iostream>
 #include <string>
 
+#include "examples/flag_parse.hpp"
 #include "src/coloring/baselines.hpp"
 #include "src/coloring/greedy.hpp"
 #include "src/coloring/validate.hpp"
@@ -73,7 +75,6 @@ int usage() {
                "usage: cli_solve [--algorithm bko|greedy|kw|luby|central] "
                "[--seed N] [--list-palette C] [--shards N] [--threads N] "
                "[--backend auto|serial|sharded|process] [--ranks N] "
-               "[--greedy-batch-quantum N] "
                "[--no-neighbor-cache] [--no-fuse-supersteps] "
                "[--no-result-cache] [--max-queue-depth N] "
                "[--recolor-budget N] [--churn-file ops.txt] "
@@ -172,7 +173,6 @@ int main(int argc, char** argv) {
   int threads = 0;
   BackendKind backend = BackendKind::kAuto;
   int ranks = ExecConfig{}.ranks;
-  int greedy_batch_quantum = ExecConfig{}.greedy_batch_quantum;
   double deadline_ms = -1.0;
   bool neighbor_cache = true;
   bool fuse_supersteps = true;
@@ -191,13 +191,13 @@ int main(int argc, char** argv) {
     if (arg == "--algorithm" && i + 1 < argc) {
       algorithm = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      seed = cli::parse_flag<std::uint64_t>(argv[++i], usage);
     } else if (arg == "--list-palette" && i + 1 < argc) {
-      list_palette = static_cast<Color>(std::strtol(argv[++i], nullptr, 10));
+      list_palette = cli::parse_flag<Color>(argv[++i], usage, 0);
     } else if (arg == "--shards" && i + 1 < argc) {
-      shards = std::atoi(argv[++i]);
+      shards = cli::parse_flag(argv[++i], usage, 1);
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
+      threads = cli::parse_flag(argv[++i], usage, 0);
     } else if (arg == "--backend" && i + 1 < argc) {
       const std::string kind = argv[++i];
       if (kind == "auto") {
@@ -212,11 +212,9 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (arg == "--ranks" && i + 1 < argc) {
-      ranks = std::atoi(argv[++i]);
-    } else if (arg == "--greedy-batch-quantum" && i + 1 < argc) {
-      greedy_batch_quantum = std::atoi(argv[++i]);
+      ranks = cli::parse_flag(argv[++i], usage, 1);
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
-      deadline_ms = std::atof(argv[++i]);
+      deadline_ms = cli::parse_flag(argv[++i], usage, 0.0);
     } else if (arg == "--no-neighbor-cache") {
       neighbor_cache = false;
     } else if (arg == "--no-fuse-supersteps") {
@@ -224,9 +222,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-result-cache") {
       result_cache = false;
     } else if (arg == "--max-queue-depth" && i + 1 < argc) {
-      max_queue_depth = std::atoi(argv[++i]);
+      max_queue_depth = cli::parse_flag(argv[++i], usage, 0);
     } else if (arg == "--recolor-budget" && i + 1 < argc) {
-      recolor_budget = std::strtoll(argv[++i], nullptr, 10);
+      recolor_budget = cli::parse_flag<std::int64_t>(argv[++i], usage);
     } else if (arg == "--churn-file" && i + 1 < argc) {
       churn_file = argv[++i];
     } else if (arg == "--validation-tier" && i + 1 < argc) {
@@ -265,7 +263,6 @@ int main(int argc, char** argv) {
   config.shard_threads = threads;
   config.backend = backend;
   config.ranks = ranks;
-  config.greedy_batch_quantum = greedy_batch_quantum;
   config.use_neighbor_cache = neighbor_cache;
   config.fuse_supersteps = fuse_supersteps;
   config.validation_tier = validation_tier;
@@ -288,7 +285,7 @@ int main(int argc, char** argv) {
   const bool service_owns_trace =
       algorithm == "bko" && !serial_compat && !trace_path.empty();
   if (!trace_path.empty() && !service_owns_trace) {
-    trace::start(config.trace_ring_capacity);
+    trace::start(trace::kRingCapacity);
   }
   const auto finish_observability = [&] {
     if (!trace_path.empty() && !service_owns_trace) {

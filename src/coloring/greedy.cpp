@@ -7,10 +7,18 @@
 
 namespace qplec {
 
+namespace {
+
+/// Fan-out quantum of the small-class batching: consecutive classes join one
+/// region until their combined item count reaches this.
+constexpr std::size_t kBatchQuantum = 128;
+
+}  // namespace
+
 void greedy_by_classes(const ConflictView& view, const std::vector<ColorList>& lists,
                        const std::vector<std::uint64_t>& phi, std::uint64_t palette,
                        std::vector<Color>& out, RoundLedger& ledger, const ExecBackend* exec,
-                       const SolveControl* control, ValidationGate* gate, int batch_quantum) {
+                       const SolveControl* control, ValidationGate* gate) {
   const ExecBackend& ex = exec != nullptr ? *exec : serial_backend();
   QPLEC_REQUIRE(out.size() == static_cast<std::size_t>(view.num_items()));
   QPLEC_REQUIRE(lists.size() == static_cast<std::size_t>(view.num_items()));
@@ -107,11 +115,9 @@ void greedy_by_classes(const ConflictView& view, const std::vector<ColorList>& l
     // Greedily append whole classes while the quantum holds and the joining
     // class is independent of everything already batched (a conflicting pair
     // inside one region would miss the earlier item's color).
-    while (pos < by_class.size() && static_cast<int>(batch.size()) < batch_quantum) {
+    while (pos < by_class.size() && batch.size() < kBatchQuantum) {
       end = class_end(pos);
-      if (batch.size() + (end - pos) > static_cast<std::size_t>(std::max(batch_quantum, 1))) {
-        break;
-      }
+      if (batch.size() + (end - pos) > kBatchQuantum) break;
       bool independent = true;
       for (std::size_t t = pos; t < end && independent; ++t) {
         view.for_each_neighbor(by_class[t].second, [&](int f) {
@@ -156,13 +162,12 @@ ConflictSolveResult solve_conflict_list(const ConflictView& view,
                                         std::uint64_t palette0, int degree_bound,
                                         std::vector<Color>& out, RoundLedger& ledger,
                                         const ExecBackend* exec, const SolveControl* control,
-                                        ValidationGate* gate, int batch_quantum) {
+                                        ValidationGate* gate) {
   ConflictSolveResult res;
   LinialResult lin = linial_reduce(view, phi0, palette0, degree_bound, ledger, exec, gate);
   res.linial_rounds = lin.rounds;
   res.sweep_palette = lin.palette;
-  greedy_by_classes(view, lists, lin.colors, lin.palette, out, ledger, exec, control, gate,
-                    batch_quantum);
+  greedy_by_classes(view, lists, lin.colors, lin.palette, out, ledger, exec, control, gate);
   return res;
 }
 

@@ -40,15 +40,12 @@ namespace qplec {
 /// bit-identical to the serial sweep.  Forbidden-color sets are built
 /// incrementally — a newly colored item's color is scattered once to each
 /// uncolored neighbor's accumulator between rounds — and consecutive small
-/// classes batch into one region when independent.
-///
-/// `batch_quantum` is the fan-out quantum of that batching: consecutive
-/// classes whose combined item count stays below it run as one parallel
-/// region (after an intra-batch independence check), so a base case with a
-/// big palette of tiny classes does not pay one round barrier per class.
-/// <= 1 disables batching (one class per region).  Output is identical to
-/// the per-class schedule for any value; this is a simulation throughput
-/// knob, surfaced as ExecConfig::greedy_batch_quantum.
+/// classes batch into one region when independent: classes whose combined
+/// item count stays within a fixed quantum (128) run as one parallel region
+/// (after an intra-batch independence check), so a base case with a big
+/// palette of tiny classes does not pay one round barrier per class.  Output
+/// is identical to the per-class schedule; batching is simulation
+/// throughput only.
 ///
 /// `control` (optional) is polled between class rounds: the sweep is the
 /// charge-dominant stretch of every base case, so cancellation latency is
@@ -63,7 +60,7 @@ void greedy_by_classes(const ConflictView& view, const std::vector<ColorList>& l
                        const std::vector<std::uint64_t>& phi, std::uint64_t palette,
                        std::vector<Color>& out, RoundLedger& ledger,
                        const ExecBackend* exec = nullptr, const SolveControl* control = nullptr,
-                       ValidationGate* gate = nullptr, int batch_quantum = 128);
+                       ValidationGate* gate = nullptr);
 
 struct ConflictSolveResult {
   int linial_rounds = 0;
@@ -74,14 +71,12 @@ struct ConflictSolveResult {
 /// initial proper coloring (phi0, palette0) to an O(d^2) palette, then sweep.
 /// Writes into out[item] for active items.  Both stages run their per-item
 /// passes on `exec` (null = serial backend) with bit-identical results.
-/// `gate` tiers both stages' demoted validation walks and `batch_quantum`
-/// sets the sweep's class-batching quantum (see greedy_by_classes).
+/// `gate` tiers both stages' demoted validation walks.
 ConflictSolveResult solve_conflict_list(
     const ConflictView& view, const std::vector<ColorList>& lists,
     const std::vector<std::uint64_t>& phi0, std::uint64_t palette0, int degree_bound,
     std::vector<Color>& out, RoundLedger& ledger, const ExecBackend* exec = nullptr,
-    const SolveControl* control = nullptr, ValidationGate* gate = nullptr,
-    int batch_quantum = 128);
+    const SolveControl* control = nullptr, ValidationGate* gate = nullptr);
 
 /// Centralized sequential greedy (not a distributed algorithm): colors edges
 /// in id order with the smallest available list color.  Ground truth that a

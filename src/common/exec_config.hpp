@@ -31,7 +31,7 @@ class ThreadPool;
 /// Solver::run, are NOT tiered — they always run.
 enum class ValidationTier {
   kOff,         ///< demoted walks never run (fastest; final validation still on)
-  kSampled,     ///< every validation_sample_period-th due site runs (Release default)
+  kSampled,     ///< every ValidationGate::kSamplePeriod-th due site runs (Release default)
   kEveryRound,  ///< seed behavior: every walk, every round (Debug/CI default)
 };
 
@@ -57,16 +57,18 @@ ValidationTier default_validation_tier();
 
 /// Deterministic gate for one engine's demoted validation walks.  Call
 /// due() once per candidate walk site, in serial control flow only: the
-/// answer depends solely on (tier, period, call count), so for a fixed
+/// answer depends solely on (tier, call count), so for a fixed
 /// config the same walks run regardless of shard count, cache mode or
 /// wall-clock — and since gated walks never mutate solver state, the solved
 /// colors are identical across tiers too.  The first due() of a gate always
 /// fires under kSampled, so every engine validates its opening round.
 class ValidationGate {
  public:
+  /// Under kSampled, one in this many due() draws runs the walk.
+  static constexpr int kSamplePeriod = 16;
+
   ValidationGate() = default;
-  ValidationGate(ValidationTier tier, int sample_period)
-      : tier_(tier), period_(sample_period < 1 ? 1 : sample_period) {}
+  explicit ValidationGate(ValidationTier tier) : tier_(tier) {}
 
   bool due() {
     switch (tier_) {
@@ -78,7 +80,7 @@ class ValidationGate {
         break;
     }
     const bool run = counter_ == 0;
-    counter_ = (counter_ + 1) % period_;
+    counter_ = (counter_ + 1) % kSamplePeriod;
     return run;
   }
 
@@ -86,7 +88,6 @@ class ValidationGate {
 
  private:
   ValidationTier tier_ = ValidationTier::kEveryRound;
-  int period_ = 16;
   int counter_ = 0;
 };
 
@@ -111,19 +112,6 @@ struct ExecConfig {
   /// Worker-rank processes of the process backend (clamped to the edge-id
   /// universe, like shards).  Only read when backend == kProcess.
   int ranks = 2;
-
-  /// Process backend: maximum payload bytes of one wire frame — larger
-  /// logical messages are chunked into continuation frames.  Transport
-  /// shaping only; never affects results.
-  std::int64_t rank_msg_budget = std::int64_t{1} << 20;
-
-  /// Batch quantum of the greedy small-class scheduler
-  /// (src/coloring/greedy.cpp): consecutive color classes are batched until
-  /// their combined size reaches this many edges, amortizing the per-batch
-  /// conflict scan.  <= 1 disables batching (one class per batch).  Any
-  /// quantum yields bit-identical colors — batching only regroups a
-  /// sequential scan (bench_roundloop sweeps {1,32,128,512} to prove it).
-  int greedy_batch_quantum = 128;
 
   /// Worker threads backing the sharded backend; <= 0 picks
   /// min(shards, hardware concurrency).  Ignored when shared_pool is set
@@ -159,10 +147,6 @@ struct ExecConfig {
   /// Cadence of the demoted invariant walks (see ValidationTier).
   ValidationTier validation_tier = default_validation_tier();
 
-  /// Under ValidationTier::kSampled, one in this many due() draws runs the
-  /// walk (the first draw of every gate always runs).
-  int validation_sample_period = 16;
-
   /// Master switch of the process-wide MetricsRegistry (src/obs/metrics.hpp).
   /// On by default — counters/gauges/histograms record; off turns every
   /// instrument write into one relaxed atomic load.  Observers only: solved
@@ -175,10 +159,6 @@ struct ExecConfig {
   /// trace_event JSON here at teardown.  Empty (default): tracing off, span
   /// sites cost one relaxed load.
   std::string trace_path{};
-
-  /// Per-thread span ring capacity while tracing (events; oldest dropped on
-  /// overflow, so a long solve keeps its most recent window).
-  int trace_ring_capacity = 8192;
 
   /// SolveService result cache (src/service/result_cache.hpp): completed Ok
   /// outcomes are memoized by request fingerprint behind an LRU bounded by
@@ -247,7 +227,7 @@ struct ExecConfig {
 
   /// Validation gate seeded from this config (one per engine/solve).
   ValidationGate make_validation_gate() const {
-    return ValidationGate(validation_tier, validation_sample_period);
+    return ValidationGate(validation_tier);
   }
 };
 

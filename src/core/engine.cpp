@@ -297,8 +297,8 @@ void SolverEngine::solve_basecase(const EdgeSubset& H) {
   ++stats_.basecase_calls;
   const int d = round_head(H, "base case feasibility");
   const LineGraphConflict view(g_, H);
-  solve_conflict_list(view, work_, phi_, phi_palette_, d, final_, ledger_, exec_, control_, &gate_,
-                      config_.greedy_batch_quantum);
+  solve_conflict_list(view, work_, phi_, phi_palette_, d, final_, ledger_, exec_, control_,
+                      &gate_);
   // The whole subset finalized at once: record the deltas for the next
   // flush (lane queues concatenate to ascending id order either way).
   exec_->for_members(H, [&](int lane, EdgeId e) {

@@ -24,6 +24,11 @@ using net::Encoder;
 using net::Frame;
 using net::FrameKind;
 
+/// Maximum payload bytes of one wire frame: larger logical messages are
+/// chunked into continuation frames.  Transport shaping only; never affects
+/// results.
+constexpr std::int64_t kRankMsgBudget = std::int64_t{1} << 20;
+
 // ---------------------------------------------------------------------------
 // Wire shapes.  All replicated state ships once (kInstance); per-superstep
 // traffic is only the owned boundary segments and scalar reductions.
@@ -68,10 +73,7 @@ void encode_job(Encoder& enc, const WorkerJob& job) {
 
   enc.put_u8(job.config.fuse_supersteps ? 1 : 0);
   enc.put_u8(static_cast<std::uint8_t>(job.config.validation_tier));
-  enc.put_signed(job.config.validation_sample_period);
-  enc.put_signed(job.config.greedy_batch_quantum);
   enc.put_u8(job.config.metrics ? 1 : 0);
-  enc.put_signed(job.config.rank_msg_budget);
 }
 
 WorkerJob decode_job(const std::vector<std::uint8_t>& payload) {
@@ -114,10 +116,7 @@ WorkerJob decode_job(const std::vector<std::uint8_t>& payload) {
   job.config = ExecConfig{};
   job.config.fuse_supersteps = dec.get_u8() != 0;
   job.config.validation_tier = static_cast<ValidationTier>(dec.get_u8());
-  job.config.validation_sample_period = static_cast<int>(dec.get_signed());
-  job.config.greedy_batch_quantum = static_cast<int>(dec.get_signed());
   job.config.metrics = dec.get_u8() != 0;
-  job.config.rank_msg_budget = dec.get_signed();
   // Rank-local overrides: the rank IS a lane, so it runs the serial backend
   // shape (the ProcessRankBackend below), and the neighbor cache stays off —
   // its incremental rows are only maintained for edges the rank refreshes
@@ -244,8 +243,8 @@ std::uint64_t result_fingerprint(const SolveResult& res) {
 /// hub, and allreduce_max, which completes reductions globally.
 class ProcessRankBackend final : public ExecBackend {
  public:
-  ProcessRankBackend(Channel& ch, int rank, int ranks, const Graph& g, std::int64_t msg_budget)
-      : ch_(ch), rank_(rank), ranks_(ranks), partition_(g, ranks), msg_budget_(msg_budget) {
+  ProcessRankBackend(Channel& ch, int rank, int ranks, const Graph& g)
+      : ch_(ch), rank_(rank), ranks_(ranks), partition_(g, ranks) {
     // EdgePartition clamps below the requested count on tiny graphs; ranks
     // whose shard does not exist own nothing (they still join every
     // collective — the hub counts contributions, not bytes).
@@ -319,7 +318,7 @@ class ProcessRankBackend final : public ExecBackend {
   Frame collective(FrameKind kind, const std::vector<std::uint8_t>& payload,
                    FrameKind release_kind) const {
     const std::uint64_t epoch = ++epoch_;
-    ch_.send_message(kind, epoch, payload, msg_budget_);
+    ch_.send_message(kind, epoch, payload, kRankMsgBudget);
     Frame release = ch_.recv_message();
     if (release.kind != release_kind || release.epoch != epoch) {
       throw BackendError("rank " + std::to_string(rank_) + ": expected " +
@@ -334,7 +333,6 @@ class ProcessRankBackend final : public ExecBackend {
   int rank_;
   int ranks_;
   EdgePartition partition_;
-  std::int64_t msg_budget_;
   EdgeId owned_begin_ = 0;
   EdgeId owned_end_ = 0;
   mutable std::uint64_t epoch_ = 0;
@@ -358,8 +356,7 @@ class ProcessRankBackend final : public ExecBackend {
       ::raise(SIGKILL);
     }
 
-    const ProcessRankBackend backend(ch, job.rank, job.ranks, job.instance.graph,
-                                     job.config.rank_msg_budget);
+    const ProcessRankBackend backend(ch, job.rank, job.ranks, job.instance.graph);
     const SolveResult res =
         solve_pipeline(job.instance, job.policy, job.slack, &backend, job.config, nullptr);
     backend.barrier();
@@ -367,8 +364,7 @@ class ProcessRankBackend final : public ExecBackend {
     Encoder enc;
     if (job.rank == 0) {
       encode_result(enc, res);
-      ch.send_message(FrameKind::kResult, backend.advance_epoch(), enc.take(),
-                      job.config.rank_msg_budget);
+      ch.send_message(FrameKind::kResult, backend.advance_epoch(), enc.take(), kRankMsgBudget);
     } else {
       enc.put_u64(result_fingerprint(res));
       ch.send_message(FrameKind::kResultHash, backend.advance_epoch(), enc.take());
@@ -498,8 +494,7 @@ SolveResult process_solve(const ListEdgeColoringInstance& instance, const Policy
       switch (p.kind) {
         case FrameKind::kHello:
           group.channel(r).send_message(FrameKind::kInstance, 0,
-                                        job_bytes[static_cast<std::size_t>(r)],
-                                        config.rank_msg_budget);
+                                        job_bytes[static_cast<std::size_t>(r)], kRankMsgBudget);
           break;
 
         case FrameKind::kError: {
@@ -549,7 +544,7 @@ SolveResult process_solve(const ListEdgeColoringInstance& instance, const Policy
           const std::vector<std::uint8_t> release_bytes = release.take();
           for (int s = 0; s < ranks; ++s) {
             group.channel(s).send_message(release_kind, collective_epoch, release_bytes,
-                                          config.rank_msg_budget);
+                                          kRankMsgBudget);
             contrib[static_cast<std::size_t>(s)] = {};
             has_contrib[static_cast<std::size_t>(s)] = 0;
           }

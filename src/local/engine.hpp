@@ -74,7 +74,6 @@ class NodeContext {
 
  private:
   friend class Engine;
-  friend class ShardedEngine;  // src/dist: same wiring, shard-parallel rounds
   std::uint64_t id_ = 0;
   int n_ = 0;
   int delta_ = 0;

@@ -7,7 +7,7 @@
 //   u8  kind          FrameKind discriminator
 //   u8  flags         bit 0 (kFlagMore): continuation — the logical message
 //                     continues in the next frame (chunking by the
-//                     rank_msg_budget knob)
+//                     sender's msg_budget)
 //   u64 epoch         superstep counter; both sides assert agreement, so a
 //                     divergent rank is detected at the next exchange instead
 //                     of corrupting state silently

@@ -38,6 +38,11 @@ struct TraceEvent {
 /// first.
 bool enabled();
 
+/// Per-thread ring capacity of the sessions SolveService and cli_solve open
+/// (events; oldest dropped on overflow, so a long solve keeps its most
+/// recent window).
+inline constexpr int kRingCapacity = 8192;
+
 /// Opens a recording session: resets the epoch, drops previous buffers, and
 /// sets the per-thread ring capacity (events; clamped to >= 16).
 void start(int ring_capacity);

@@ -106,8 +106,7 @@ std::uint64_t fingerprint_exec_knobs(const ExecConfig& config) {
   Fnv1a f;
   // Backend identity is part of the key: colors are bit-identical across
   // backends, but the outcome's reporting surface (shards, rank-side stats)
-  // is not.  The greedy quantum and rank_msg_budget are NOT mixed — they
-  // change no outcome field at all.
+  // is not.
   f.mix(static_cast<int>(config.backend));
   f.mix(config.ranks);
   f.mix(config.shards);
@@ -115,7 +114,6 @@ std::uint64_t fingerprint_exec_knobs(const ExecConfig& config) {
   f.mix(config.use_neighbor_cache);
   f.mix(config.fuse_supersteps);
   f.mix(static_cast<int>(config.validation_tier));
-  f.mix(config.validation_sample_period);
   // The repair/fallback decision changes an update's rounds/ledger surface,
   // so a different budget must be a different cache key.
   f.mix(config.recolor_budget);

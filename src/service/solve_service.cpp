@@ -459,7 +459,7 @@ SolveService::SolveService(ExecConfig config)
   // the process-wide registry switch and (when asked) opens the trace
   // session it will export at teardown.
   obs::MetricsRegistry::global().set_enabled(config_.metrics);
-  if (!config_.trace_path.empty()) trace::start(config_.trace_ring_capacity);
+  if (!config_.trace_path.empty()) trace::start(trace::kRingCapacity);
 
   impl_->cache =
       std::make_unique<ResultCache>(config_.max_cache_entries, config_.max_cache_bytes);

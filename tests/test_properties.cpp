@@ -21,12 +21,14 @@
 #include "src/common/rng.hpp"
 #include "src/core/recolor.hpp"
 #include "src/core/solver.hpp"
+#include "src/dist/backend.hpp"
 #include "src/dist/process_backend.hpp"
 #include "src/graph/builder.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/subset.hpp"
 #include "src/runtime/batch_solver.hpp"
 #include "src/runtime/scenarios.hpp"
+#include "src/runtime/thread_pool.hpp"
 #include "src/service/solve_service.hpp"
 
 namespace qplec {
@@ -297,8 +299,10 @@ TEST(PropertyFuzz, FusionAndValidationTierBitIdenticalAcrossRandomSweep) {
 // classes fused into one region) against a straightforward reference: one
 // class at a time, forbidden rebuilt by a full neighborhood rescan.  The
 // scrambled-id initial coloring gives a huge palette of tiny classes, so the
-// quantum and the intra-batch independence check both exercise.
+// quantum and the intra-batch independence check both exercise — on the
+// serial backend and on a 4-lane sharded one.
 TEST(PropertyFuzz, BatchedGreedySweepMatchesPerClassReference) {
+  ThreadPool pool(2);
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const Graph g =
         make_gnp(26, 0.25, seed).with_scrambled_ids(26 * 26, seed + 10);
@@ -310,6 +314,13 @@ TEST(PropertyFuzz, BatchedGreedySweepMatchesPerClassReference) {
     std::vector<Color> batched(static_cast<std::size_t>(g.num_edges()), kUncolored);
     RoundLedger ledger;
     greedy_by_classes(view, instance.lists, init.colors, init.palette, batched, ledger);
+
+    const ShardedBackend sharded(g, 4, pool);
+    ASSERT_EQ(sharded.lanes(), 4) << "seed " << seed;
+    std::vector<Color> batched_sharded(static_cast<std::size_t>(g.num_edges()), kUncolored);
+    RoundLedger sharded_ledger;
+    greedy_by_classes(view, instance.lists, init.colors, init.palette, batched_sharded,
+                      sharded_ledger, &sharded);
 
     // Reference: classes in increasing order, forbidden from a full rescan.
     std::vector<Color> reference(static_cast<std::size_t>(g.num_edges()), kUncolored);
@@ -332,6 +343,7 @@ TEST(PropertyFuzz, BatchedGreedySweepMatchesPerClassReference) {
       }
     }
     EXPECT_EQ(batched, reference) << "seed " << seed;
+    EXPECT_EQ(batched_sharded, reference) << "seed " << seed;
     EXPECT_TRUE(is_proper_on_conflict(view, batched, serial_backend())) << "seed " << seed;
   }
 }
@@ -495,31 +507,6 @@ TEST(PropertyFuzz, ProcessBackendBitIdenticalToSerialAcrossRandomSweep) {
     }
   }
   EXPECT_GE(swept, 7);  // the sweep must not silently degenerate
-}
-
-// The greedy batch quantum is a pure batching knob: any quantum (batching
-// disabled included) leaves the full solve bit-identical to the default.
-TEST(PropertyFuzz, GreedyBatchQuantumBitIdenticalAcrossSweep) {
-  const int quanta[] = {1, 32, 512};
-  int swept = 0;
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const Scenario scenario{GraphFamily::kGnp, 40, ListFlavor::kTwoDelta,
-                            PolicyKind::kPractical, seed, 0};
-    const ListEdgeColoringInstance instance = build_instance(scenario);
-    if (instance.graph.num_edges() == 0) continue;
-    ++swept;
-    const SolveResult reference = Solver(Policy::practical()).solve(instance);
-    for (const int quantum : quanta) {
-      ExecConfig config;
-      config.greedy_batch_quantum = quantum;
-      const SolveResult res = Solver(Policy::practical(), config).solve(instance);
-      EXPECT_EQ(res.colors, reference.colors) << scenario.name() << " quantum=" << quantum;
-      EXPECT_EQ(res.rounds, reference.rounds) << scenario.name() << " quantum=" << quantum;
-      EXPECT_EQ(res.round_report, reference.round_report)
-          << scenario.name() << " quantum=" << quantum;
-    }
-  }
-  EXPECT_GE(swept, 3);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Docs-drift guard: flags and links in docs/ must match reality.
+"""Docs-drift guard: flags, knobs and links in docs/ must match reality.
 
-Two checks:
+Checks:
 
 1. Flag drift (default mode).  The flag reference in docs/SERVICE.md --
    everything between the `<!-- flags:begin -->` and `<!-- flags:end -->`
@@ -21,6 +21,12 @@ Two checks:
    name a file that exists: a path with a slash (docs/SERVICE.md) resolves
    against the repository root, a bare name (ROADMAP.md) matches any *.md
    file of that name in the repository.
+
+4. Knob drift (always).  The first-column names of the docs/SERVICE.md
+   knob table (the table whose header starts with `| Knob |`) must be
+   EXACTLY the data members of `struct ExecConfig` in
+   src/common/exec_config.hpp, both directions: a field without a row
+   fails, and a row naming no field fails.
 
 Usage:
   check_docs.py --repo ROOT --links-only
@@ -44,6 +50,12 @@ BEGIN_MARK = "<!-- flags:begin -->"
 END_MARK = "<!-- flags:end -->"
 # Directories that hold generated or vendored trees, never our docs.
 SKIP_DIRS = {".git", "build", "_deps", ".cache", ".bench_build"}
+EXEC_CONFIG_HPP = pathlib.Path("src/common/exec_config.hpp")
+# One data member per line at struct indentation: `Type name`, then an
+# optional `= init` or `{init}`, then `;`.  Member functions carry a `(`
+# before any initializer and never match.
+MEMBER_RE = re.compile(r"^  [A-Za-z_][\w:<>, ]*[\s*&]+([a-z_][a-z0-9_]*)\s*(?:[={][^;]*)?;$")
+KNOB_ROW_RE = re.compile(r"^\|\s*`([a-z_][a-z0-9_]*)`\s*\|")
 
 
 def fail(msg):
@@ -86,6 +98,58 @@ def check_flags(repo, cli_solve, batch_solve):
                        f"advertises it")
     if errors == 0:
         print(f"check_docs: flags OK ({len(advertised)} flags, docs == --help)")
+    return errors
+
+
+def exec_config_fields(header):
+    """Data members of `struct ExecConfig`, in declaration order."""
+    text = header.read_text(encoding="utf-8")
+    match = re.search(r"^struct ExecConfig \{$(.*?)^\};$", text, re.M | re.S)
+    if not match:
+        raise RuntimeError(f"{header} has no `struct ExecConfig {{ ... }};`")
+    fields = []
+    for line in match.group(1).splitlines():
+        m = MEMBER_RE.match(line.split("//", 1)[0].rstrip())
+        if m:
+            fields.append(m.group(1))
+    return fields
+
+
+def knob_table_names(service_md):
+    """First-column names of the `| Knob | ... |` table in docs/SERVICE.md."""
+    lines = service_md.read_text(encoding="utf-8").splitlines()
+    starts = [i for i, line in enumerate(lines) if re.match(r"^\|\s*Knob\s*\|", line)]
+    if len(starts) != 1:
+        raise RuntimeError(f"{service_md} needs exactly one `| Knob |` table, "
+                           f"found {len(starts)}")
+    names = []
+    for line in lines[starts[0] + 2:]:
+        if not line.startswith("|"):
+            break
+        m = KNOB_ROW_RE.match(line)
+        if not m:
+            raise RuntimeError(f"{service_md}: knob row without a `name` cell: {line}")
+        names.append(m.group(1))
+    return names
+
+
+def check_knobs(repo):
+    try:
+        fields = exec_config_fields(repo / EXEC_CONFIG_HPP)
+        documented = knob_table_names(repo / "docs" / "SERVICE.md")
+    except (RuntimeError, OSError) as e:
+        return fail(str(e))
+    errors = 0
+    for name in fields:
+        if name not in documented:
+            errors += fail(f"ExecConfig::{name} has no row in the docs/SERVICE.md "
+                           f"knob table")
+    for name in documented:
+        if name not in fields:
+            errors += fail(f"docs/SERVICE.md knob table lists `{name}`, which is not "
+                           f"a field of ExecConfig")
+    if errors == 0:
+        print(f"check_docs: knobs OK ({len(fields)} ExecConfig fields, docs == struct)")
     return errors
 
 
@@ -152,7 +216,7 @@ def main():
     args = ap.parse_args()
 
     repo = args.repo.resolve()
-    errors = check_links(repo) + check_source_doc_refs(repo)
+    errors = check_links(repo) + check_source_doc_refs(repo) + check_knobs(repo)
     if not args.links_only:
         if not args.cli_solve or not args.batch_solve:
             return fail("full mode needs --cli-solve and --batch-solve "
