@@ -20,12 +20,12 @@
 // perf misses WITHOUT ever masking a correctness bug.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench/support.hpp"
+#include "examples/flag_parse.hpp"
 #include "src/coloring/problem.hpp"
 #include "src/core/recolor.hpp"
 #include "src/core/solver.hpp"
@@ -75,28 +75,21 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--nodes" && i + 1 < argc) {
-      nodes = std::atoi(argv[++i]);
+      nodes = cli::parse_flag(argv[++i], usage, 2);
     } else if (arg == "--degree" && i + 1 < argc) {
-      degree = std::atoi(argv[++i]);
+      degree = cli::parse_flag(argv[++i], usage, 1);
     } else if (arg == "--repeats" && i + 1 < argc) {
-      repeats = std::atoi(argv[++i]);
+      repeats = cli::parse_flag(argv[++i], usage, 1);
     } else if (arg == "--shards" && i + 1 < argc) {
-      shards = std::atoi(argv[++i]);
+      shards = cli::parse_flag(argv[++i], usage, 1);
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (arg == "--min-speedup" && i + 1 < argc) {
-      // Strict parse: a typo'd value must not silently disable the gate.
-      char* end = nullptr;
-      min_speedup = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || min_speedup <= 0.0) {
-        std::fprintf(stderr, "--min-speedup: '%s' is not a positive number\n", argv[i]);
-        return usage();
-      }
+      min_speedup = cli::parse_flag(argv[++i], usage, cli::kPositive);
     } else {
       return usage();
     }
   }
-  if (nodes < 2 || degree < 1 || repeats < 1 || shards < 1) return usage();
 
   std::printf("building graph...\n");
   const Graph g = bench::make_regular_stressor(nodes, degree);

@@ -60,13 +60,13 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "bench/support.hpp"
+#include "examples/flag_parse.hpp"
 #include "src/runtime/reporter.hpp"
 #include "src/service/solve_service.hpp"
 
@@ -279,25 +279,25 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--nodes" && i + 1 < argc) {
-      nodes = std::atoi(argv[++i]);
+      nodes = cli::parse_flag(argv[++i], usage, 2);
     } else if (arg == "--degree" && i + 1 < argc) {
-      degree = std::atoi(argv[++i]);
+      degree = cli::parse_flag(argv[++i], usage, 1);
     } else if (arg == "--repeats" && i + 1 < argc) {
-      repeats = std::atoi(argv[++i]);
+      repeats = cli::parse_flag(argv[++i], usage, 1);
     } else if (arg == "--sweep-repeats" && i + 1 < argc) {
-      sweep_repeats = std::atoi(argv[++i]);
+      sweep_repeats = cli::parse_flag(argv[++i], usage, 1);
     } else if (arg == "--shards" && i + 1 < argc) {
-      shards = std::atoi(argv[++i]);
+      shards = cli::parse_flag(argv[++i], usage, 1);
     } else if (arg == "--max-cancel-rounds" && i + 1 < argc) {
-      max_cancel_rounds = std::atof(argv[++i]);
+      max_cancel_rounds = cli::parse_flag(argv[++i], usage, 0.0);
     } else if (arg == "--max-overhead-pct" && i + 1 < argc) {
-      max_overhead_pct = std::atof(argv[++i]);
+      max_overhead_pct = cli::parse_flag(argv[++i], usage, 0.0);
     } else if (arg == "--overload") {
       run_overload = true;
     } else if (arg == "--min-hit-rate" && i + 1 < argc) {
-      min_hit_rate = std::atof(argv[++i]);
+      min_hit_rate = cli::parse_flag(argv[++i], usage, 0.0);
     } else if (arg == "--max-queue-p99-ms" && i + 1 < argc) {
-      max_queue_p99_ms = std::atof(argv[++i]);
+      max_queue_p99_ms = cli::parse_flag(argv[++i], usage, 0.0);
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (arg == "--smoke" && i + 1 < argc) {

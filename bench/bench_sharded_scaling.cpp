@@ -25,13 +25,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench/support.hpp"
+#include "examples/flag_parse.hpp"
 #include "src/coloring/problem.hpp"
 #include "src/core/solver.hpp"
 #include "src/dist/partition.hpp"
@@ -60,24 +59,24 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-std::vector<int> parse_shard_list(const char* text) {
-  std::vector<int> out;
-  for (const char* p = text; *p != '\0';) {
-    char* end = nullptr;
-    const long v = std::strtol(p, &end, 10);
-    if (end == p) break;
-    out.push_back(static_cast<int>(v));
-    p = (*end == ',') ? end + 1 : end;
-  }
-  return out;
-}
-
 int usage() {
   std::fprintf(stderr,
                "usage: bench_sharded_scaling [--nodes N] [--degree D] [--repeats R] "
                "[--shards \"1,2,4,8\"] [--out BENCH_sharded.json] [--skip-power-law] "
                "[--min-speedup X] [--min-speedup-shards S]\n");
   return 2;
+}
+
+/// "1,2,4" -> {1, 2, 4}; every comma-separated token must be a whole
+/// integer >= 1 (a usage error otherwise).
+std::vector<int> parse_shard_list(const std::string& text) {
+  std::vector<int> out;
+  for (std::size_t begin = 0;;) {
+    const std::size_t comma = text.find(',', begin);
+    out.push_back(qplec::cli::parse_flag(text.substr(begin, comma - begin).c_str(), usage, 1));
+    if (comma == std::string::npos) return out;
+    begin = comma + 1;
+  }
 }
 
 }  // namespace
@@ -98,11 +97,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--nodes" && i + 1 < argc) {
-      nodes = std::atoi(argv[++i]);
+      nodes = cli::parse_flag(argv[++i], usage, 2);
     } else if (arg == "--degree" && i + 1 < argc) {
-      degree = std::atoi(argv[++i]);
+      degree = cli::parse_flag(argv[++i], usage, 1);
     } else if (arg == "--repeats" && i + 1 < argc) {
-      repeats = std::atoi(argv[++i]);
+      repeats = cli::parse_flag(argv[++i], usage, 1);
     } else if (arg == "--shards" && i + 1 < argc) {
       shard_counts = parse_shard_list(argv[++i]);
     } else if (arg == "--out" && i + 1 < argc) {
@@ -110,31 +109,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--skip-power-law") {
       power_law = false;
     } else if (arg == "--min-speedup" && i + 1 < argc) {
-      // Strict parse: a typo'd value must not silently disable the gate.
-      char* end = nullptr;
-      min_speedup = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || min_speedup <= 0.0) {
-        std::fprintf(stderr, "--min-speedup: '%s' is not a positive number\n", argv[i]);
-        return usage();
-      }
+      min_speedup = cli::parse_flag(argv[++i], usage, cli::kPositive);
     } else if (arg == "--min-speedup-shards" && i + 1 < argc) {
-      char* end = nullptr;
-      min_speedup_shards = static_cast<int>(std::strtol(argv[++i], &end, 10));
-      if (end == argv[i] || *end != '\0' || min_speedup_shards < 1) {
-        std::fprintf(stderr, "--min-speedup-shards: '%s' is not a positive integer\n",
-                     argv[i]);
-        return usage();
-      }
+      min_speedup_shards = cli::parse_flag(argv[++i], usage, 1);
     } else {
       return usage();
     }
   }
-  if (nodes < 2 || degree < 1 || repeats < 1 || shard_counts.empty()) return usage();
-  int max_shards = 1;
-  for (const int s : shard_counts) {
-    if (s < 1) return usage();
-    max_shards = std::max(max_shards, s);
-  }
+  const int max_shards = *std::max_element(shard_counts.begin(), shard_counts.end());
   if (min_speedup_shards == 0) min_speedup_shards = max_shards;
 
   struct Workload {

@@ -2,9 +2,9 @@
 //
 //   usage: batch_solve [--threads N] [--manifest file] [--out BENCH_batch.json]
 //                      [--seed N] [--quiet] [--shards N] [--sharded-min-edges M]
-//                      [--backend auto|serial|sharded|process] [--ranks N]
-//                      [--no-neighbor-cache] [--no-fuse-supersteps]
-//                      [--no-result-cache] [--max-queue-depth N] [--churn N]
+//                      [--backend auto|serial|process] [--ranks N]
+//                      [--no-neighbor-cache] [--no-result-cache]
+//                      [--max-queue-depth N] [--churn N]
 //                      [--validation-tier off|sampled|every_round] [--stressors]
 //                      [--metrics-dump metrics.prom]
 //
@@ -25,14 +25,14 @@
 // CI process-smoke leg checks against the serial golden file.
 // --no-neighbor-cache disables the incremental neighbor-color cache on every
 // solve (the full-rescan reference path; identical output) — CI diffs the
-// two reports to prove it.  --no-fuse-supersteps runs the split round-loop
-// schedule and --validation-tier sets the demoted-walk cadence; both leave
-// every fingerprint identical (the CI golden gate runs a fused-vs-unfused
-// leg against the same golden file).  --stressors appends large-instance stressor
-// scenarios sized by the shared bench/support.hpp constants (the same
-// 204800-edge regular + power-law parameters every scaling bench sweeps) to
-// the manifest.  NOTE: scenarios go through build_instance — scrambled
-// LOCAL ids, --seed honored — so their fingerprints intentionally differ
+// two reports to prove it.  --validation-tier sets the demoted-walk cadence
+// and leaves every fingerprint identical (the CI golden gate runs an
+// every_round leg against the same golden file).  --stressors appends
+// large-instance stressor scenarios sized by the shared bench/support.hpp
+// constants (the same 204800-edge regular + power-law parameters every
+// scaling bench sweeps) to the manifest.  NOTE: scenarios go through
+// build_instance — scrambled LOCAL ids, --seed honored — so their
+// fingerprints intentionally differ
 // from the benches' raw fixed-seed stressor graphs; the shared constants
 // align the workload SHAPE, not the exact instance.  --metrics-dump writes
 // the process-wide MetricsRegistry (service queue/latency series, pool lane
@@ -77,9 +77,8 @@ int usage() {
                "usage: batch_solve [--threads N] [--manifest file] "
                "[--out BENCH_batch.json] [--seed N] [--quiet] "
                "[--shards N] [--sharded-min-edges M] "
-               "[--backend auto|serial|sharded|process] [--ranks N] "
-               "[--no-neighbor-cache] "
-               "[--no-fuse-supersteps] [--no-result-cache] "
+               "[--backend auto|serial|process] [--ranks N] "
+               "[--no-neighbor-cache] [--no-result-cache] "
                "[--max-queue-depth N] [--churn N] "
                "[--validation-tier off|sampled|every_round] [--stressors] "
                "[--metrics-dump metrics.prom]\n"
@@ -121,7 +120,6 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_batch.json";
   std::uint64_t seed = 42;
   bool neighbor_cache = true;
-  bool fuse_supersteps = true;
   bool result_cache = true;
   int max_queue_depth = 0;
   int churn_ops = 0;
@@ -143,8 +141,6 @@ int main(int argc, char** argv) {
         backend = BackendKind::kAuto;
       } else if (kind == "serial") {
         backend = BackendKind::kSerial;
-      } else if (kind == "sharded") {
-        backend = BackendKind::kSharded;
       } else if (kind == "process") {
         backend = BackendKind::kProcess;
       } else {
@@ -160,8 +156,6 @@ int main(int argc, char** argv) {
       seed = cli::parse_flag<std::uint64_t>(argv[++i], usage);
     } else if (arg == "--no-neighbor-cache") {
       neighbor_cache = false;
-    } else if (arg == "--no-fuse-supersteps") {
-      fuse_supersteps = false;
     } else if (arg == "--no-result-cache") {
       result_cache = false;
     } else if (arg == "--max-queue-depth" && i + 1 < argc) {
@@ -220,7 +214,6 @@ int main(int argc, char** argv) {
   config.backend = backend;
   config.ranks = ranks;
   config.use_neighbor_cache = neighbor_cache;
-  config.fuse_supersteps = fuse_supersteps;
   config.validation_tier = validation_tier;
   if (sharded_min_edges >= 0) config.min_sharded_edges = sharded_min_edges;
   if (!result_cache) config.max_cache_entries = 0;

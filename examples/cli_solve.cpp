@@ -2,9 +2,9 @@
 //
 //   usage: cli_solve [--algorithm bko|greedy|kw|luby|central] [--seed N]
 //                    [--list-palette C] [--shards N] [--threads N]
-//                    [--backend auto|serial|sharded|process] [--ranks N]
-//                    [--no-neighbor-cache] [--no-fuse-supersteps]
-//                    [--no-result-cache] [--max-queue-depth N]
+//                    [--backend auto|serial|process] [--ranks N]
+//                    [--no-neighbor-cache] [--no-result-cache]
+//                    [--max-queue-depth N]
 //                    [--validation-tier off|sampled|every_round]
 //                    [--deadline-ms X] [--json] [--serial-compat]
 //                    [--metrics-dump metrics.prom] [--trace trace.json]
@@ -33,10 +33,9 @@
 // the service reads, scrambles and builds the instance end-to-end.
 // --serial-compat bypasses the service and calls Solver::solve directly (the
 // reference path; bit-identical output).  --no-neighbor-cache disables the
-// incremental neighbor-color cache, --no-fuse-supersteps runs the split
-// round-loop schedule, --validation-tier sets the cadence of the demoted
-// invariant walks (all three leave the output bit-identical — they are the
-// ExecConfig knobs of src/common/exec_config.hpp).  --json embeds the full
+// incremental neighbor-color cache and --validation-tier sets the cadence of
+// the demoted invariant walks (both leave the output bit-identical — they
+// are the ExecConfig knobs of src/common/exec_config.hpp).  --json embeds the full
 // SolverStats, RoundProfile included, as a "stats" sub-object.  --verbose
 // adds wall time, per-round wall time and the ledger's phase breakdown.
 //
@@ -74,8 +73,8 @@ int usage() {
   std::fprintf(stderr,
                "usage: cli_solve [--algorithm bko|greedy|kw|luby|central] "
                "[--seed N] [--list-palette C] [--shards N] [--threads N] "
-               "[--backend auto|serial|sharded|process] [--ranks N] "
-               "[--no-neighbor-cache] [--no-fuse-supersteps] "
+               "[--backend auto|serial|process] [--ranks N] "
+               "[--no-neighbor-cache] "
                "[--no-result-cache] [--max-queue-depth N] "
                "[--recolor-budget N] [--churn-file ops.txt] "
                "[--validation-tier off|sampled|every_round] [--deadline-ms X] "
@@ -175,7 +174,6 @@ int main(int argc, char** argv) {
   int ranks = ExecConfig{}.ranks;
   double deadline_ms = -1.0;
   bool neighbor_cache = true;
-  bool fuse_supersteps = true;
   bool result_cache = true;
   int max_queue_depth = 0;
   std::int64_t recolor_budget = ExecConfig{}.recolor_budget;
@@ -204,8 +202,6 @@ int main(int argc, char** argv) {
         backend = BackendKind::kAuto;
       } else if (kind == "serial") {
         backend = BackendKind::kSerial;
-      } else if (kind == "sharded") {
-        backend = BackendKind::kSharded;
       } else if (kind == "process") {
         backend = BackendKind::kProcess;
       } else {
@@ -217,8 +213,6 @@ int main(int argc, char** argv) {
       deadline_ms = cli::parse_flag(argv[++i], usage, 0.0);
     } else if (arg == "--no-neighbor-cache") {
       neighbor_cache = false;
-    } else if (arg == "--no-fuse-supersteps") {
-      fuse_supersteps = false;
     } else if (arg == "--no-result-cache") {
       result_cache = false;
     } else if (arg == "--max-queue-depth" && i + 1 < argc) {
@@ -264,7 +258,6 @@ int main(int argc, char** argv) {
   config.backend = backend;
   config.ranks = ranks;
   config.use_neighbor_cache = neighbor_cache;
-  config.fuse_supersteps = fuse_supersteps;
   config.validation_tier = validation_tier;
   config.trace_path = trace_path;
   if (!result_cache) config.max_cache_entries = 0;

@@ -14,6 +14,10 @@
 
 namespace qplec::cli {
 
+/// `lo` for a double flag that must be strictly positive (a gate threshold
+/// whose 0 would mean "no gate").
+inline constexpr double kPositive = std::numeric_limits<double>::min();
+
 /// `text` parsed as a T in [lo, hi].  On a malformed, overflowing or
 /// out-of-range token (NaN included) prints the binary's usage and exits with
 /// the status usage() returns.

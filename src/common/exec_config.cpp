@@ -17,20 +17,6 @@ const char* validation_tier_name(ValidationTier tier) {
   return "unknown";
 }
 
-const char* backend_kind_name(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kAuto:
-      return "auto";
-    case BackendKind::kSerial:
-      return "serial";
-    case BackendKind::kSharded:
-      return "sharded";
-    case BackendKind::kProcess:
-      return "process";
-  }
-  return "unknown";
-}
-
 ValidationTier default_validation_tier() {
 #ifndef NDEBUG
   return ValidationTier::kEveryRound;

@@ -5,13 +5,13 @@
 // (adding worker count), with BatchSolver lowering a third shape
 // (`BatchOptions`) onto both.  This header collapses the three: Solver,
 // SolverEngine, BatchSolver, SolveService, cli_solve and every bench consume
-// the same struct, and the round-loop knobs introduced with the superstep
-// work (`fuse_supersteps`, `validation_tier`) live here exactly once.
+// the same struct, and the round-loop knobs (`use_neighbor_cache`,
+// `validation_tier`) live here exactly once.
 //
 // Determinism: nothing in this struct may change the solver's *output*.
-// Shards/workers/pool sizing only re-partition bit-identical work;
-// `fuse_supersteps` merges read-only sweeps that share a round barrier; the
-// validation tier only decides whether assert/telemetry walks run.  The
+// Shards/workers/pool sizing only re-partition bit-identical work; the
+// neighbor cache only replaces rescans with deltas; the validation tier only
+// decides whether assert/telemetry walks run.  The
 // differential suite (tests/test_roundloop.cpp) pins every combination to
 // one fingerprint.
 #pragma once
@@ -41,14 +41,11 @@ const char* validation_tier_name(ValidationTier tier);
 enum class BackendKind {
   kAuto,     ///< seed behavior: sharded when wants_sharding(), else serial
   kSerial,   ///< always the serial backend, regardless of shards
-  kSharded,  ///< same gating as kAuto (named for explicitness in configs)
   kProcess,  ///< multi-process backend: `ranks` forked worker processes
              ///< exchanging boundary messages (src/dist/process_backend).
              ///< Always taken when selected — no min-size gate — so small
              ///< instances exercise the real message path too.
 };
-
-const char* backend_kind_name(BackendKind kind);
 
 /// Tier this build defaults to: kEveryRound in Debug builds (!NDEBUG),
 /// kSampled in Release.  Defined in exec_config.cpp so one definition —
@@ -136,13 +133,6 @@ struct ExecConfig {
   /// Output is bit-identical either way; off is a debugging/benchmark
   /// reference path.
   bool use_neighbor_cache = true;
-
-  /// Fuse the round-head sweeps that share one round barrier (list refresh +
-  /// induced-degree measurement + due validation) into a single backend
-  /// pass, and skip the inbox-clear pass of the LOCAL engines (round-stamped
-  /// inbox slots make it redundant).  Ledger charges and solved colors are
-  /// bit-identical with fusion off — off is the PR 5 reference schedule.
-  bool fuse_supersteps = true;
 
   /// Cadence of the demoted invariant walks (see ValidationTier).
   ValidationTier validation_tier = default_validation_tier();

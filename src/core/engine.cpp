@@ -143,33 +143,20 @@ EdgeColoring SolverEngine::finish_solve() {
   return final_;
 }
 
-void SolverEngine::refresh_lists(const EdgeSubset& H) {
-  ledger_.charge(1, "refresh-lists");
-  const PassTimer timer(stats_.refresh_ms, "refresh");
+void SolverEngine::prune_list(int lane, EdgeId e) {
+  auto& list = work_[static_cast<std::size_t>(e)];
   if (cache_) {
-    // Incremental path: drain the round's finalize log, then each member
-    // sweeps only its live row (plus its deferred pending colors) — exactly
-    // the colors of neighbors finalized since ITS previous sweep, which
-    // (removal being idempotent) leaves exactly the list the full rescan
-    // below would.
-    cache_->flush();
-    exec_->for_members(H, [&](int lane, EdgeId e) {
-      cache_->consume(lane, e, work_[static_cast<std::size_t>(e)]);
-    });
+    // Incremental path: sweep only e's live row (plus its deferred pending
+    // colors) — exactly the colors of neighbors finalized since e's previous
+    // sweep, which (removal being idempotent) leaves exactly the list the
+    // full rescan below would.
+    cache_->consume(lane, e, list);
     return;
   }
-  // Edge-local step: e reads committed neighbor colors, mutates only its own
-  // list — safe for any backend.  A distributed backend runs it owned-only
-  // and gathers the updated lists (the per-superstep boundary exchange).
-  exec_->for_members_owned(
-      H,
-      [&](int, EdgeId e) {
-        g_.for_each_edge_neighbor(e, [&](EdgeId f) {
-          const Color cf = final_[static_cast<std::size_t>(f)];
-          if (cf != kUncolored) work_[static_cast<std::size_t>(e)].remove(cf);
-        });
-      },
-      work_);
+  g_.for_each_edge_neighbor(e, [&](EdgeId f) {
+    const Color cf = final_[static_cast<std::size_t>(f)];
+    if (cf != kUncolored) list.remove(cf);
+  });
 }
 
 int SolverEngine::induced_degree(int lane, EdgeId e, const EdgeSubset& s) const {
@@ -189,107 +176,52 @@ int SolverEngine::max_induced_degree(const EdgeSubset& s) const {
 
 int SolverEngine::round_head(const EdgeSubset& H, const char* invariant) {
   const bool validate = validation_due();
-
-  if (config_.fuse_supersteps) {
-    // One superstep: the list refresh, the degree measurement and (when
-    // due) the feasibility walk all read committed neighbor state and write
-    // only e-owned state or lane-indexed accumulators, and in the split
-    // schedule nothing between their barriers mutates either — so merging
-    // them into one pass is bit-identical and collapses two (or three)
-    // round barriers into one.  The ledger still sees exactly the single
-    // refresh round the split schedule charges.
-    ledger_.charge(1, "refresh-lists");
-    ++stats_.profile.supersteps;
-    stats_.profile.fused_sweeps_saved += validate ? 2 : 1;
-    const PassTimer profile_timer(stats_.profile.pass_ms, "superstep");
-    const PassTimer timer(stats_.refresh_ms);
-    DeterministicReducer<int> deg(exec_->lanes(), 0);
-    if (cache_) cache_->flush();
-    // Owned-only on a distributed backend: each rank refreshes its shard,
-    // the exchange gathers the lists, and the degree reduction finishes with
-    // an allreduce (a no-op max on shared-memory backends).
-    exec_->for_members_owned(
-        H,
-        [&](int lane, EdgeId e) {
-          auto& list = work_[static_cast<std::size_t>(e)];
-          if (cache_) {
-            cache_->consume(lane, e, list);
-          } else {
-            g_.for_each_edge_neighbor(e, [&](EdgeId f) {
-              const Color cf = final_[static_cast<std::size_t>(f)];
-              if (cf != kUncolored) list.remove(cf);
-            });
-          }
-          const int di = induced_degree(lane, e, H);
-          deg.lane(lane) = std::max(deg.lane(lane), di);
-          if (validate) {
-            QPLEC_ASSERT_MSG(list.size() >= di + 1, invariant << " violated at edge " << e);
-          }
-        },
-        work_);
-    return static_cast<int>(exec_->allreduce_max(deg.max()));
-  }
-
-  // Split schedule (the PR 5 reference): one barrier per sweep.
-  {
-    const PassTimer profile_timer(stats_.profile.pass_ms);
-    refresh_lists(H);
-  }
-  int d = 0;
-  {
-    const PassTimer barrier_timer(stats_.profile.barrier_ms, "measure");
-    d = max_induced_degree(H);
-  }
-  if (validate) {
-    const PassTimer validate_timer(stats_.profile.validate_ms, "validate");
-    exec_->for_members(H, [&](int lane, EdgeId e) {
-      QPLEC_ASSERT_MSG(work_[static_cast<std::size_t>(e)].size() >=
-                           induced_degree(lane, e, H) + 1,
-                       invariant << " violated at edge " << e);
-    });
-  }
-  return d;
+  // One superstep: the list refresh, the degree measurement and (when due)
+  // the feasibility walk all read committed neighbor state and write only
+  // e-owned state or lane-indexed accumulators, so they share one pass and
+  // one round barrier.  The ledger sees the single refresh round.
+  ledger_.charge(1, "refresh-lists");
+  ++stats_.profile.supersteps;
+  const PassTimer profile_timer(stats_.profile.pass_ms, "superstep");
+  const PassTimer timer(stats_.refresh_ms);
+  DeterministicReducer<int> deg(exec_->lanes(), 0);
+  if (cache_) cache_->flush();
+  // Owned-only on a distributed backend: each rank refreshes its shard, the
+  // exchange gathers the lists, and the degree reduction finishes with an
+  // allreduce (a no-op max on shared-memory backends).
+  exec_->for_members_owned(
+      H,
+      [&](int lane, EdgeId e) {
+        prune_list(lane, e);
+        const int di = induced_degree(lane, e, H);
+        deg.lane(lane) = std::max(deg.lane(lane), di);
+        if (validate) {
+          QPLEC_ASSERT_MSG(work_[static_cast<std::size_t>(e)].size() >= di + 1,
+                           invariant << " violated at edge " << e);
+        }
+      },
+      work_);
+  return static_cast<int>(exec_->allreduce_max(deg.max()));
 }
 
 int SolverEngine::relaxed_head(const EdgeSubset& A, double slack, Color lo, Color hi) {
   const bool validate = validation_due();
-
-  // Entry invariant of P(dbar, S, C): |L_e| > slack * deg_A(e), lists within
-  // [lo, hi).  Pure reads — fusable with the degree measurement.
-  const auto entry_check = [&](int lane, EdgeId e, int di) {
+  ++stats_.profile.supersteps;
+  const PassTimer profile_timer(stats_.profile.pass_ms, "relaxed-superstep");
+  DeterministicReducer<int> deg(exec_->lanes(), 0);
+  exec_->for_members(A, [&](int lane, EdgeId e) {
+    const int di = induced_degree(lane, e, A);
+    deg.lane(lane) = std::max(deg.lane(lane), di);
+    if (!validate) return;
+    // Entry invariant of P(dbar, S, C): |L_e| > slack * deg_A(e), lists
+    // within [lo, hi).
     const auto& list = work_[static_cast<std::size_t>(e)];
     QPLEC_ASSERT(!list.empty());
     QPLEC_ASSERT(list.colors().front() >= lo && list.colors().back() < hi);
     QPLEC_ASSERT_MSG(static_cast<double>(list.size()) > slack * di - 1e-9,
                      "relaxed entry slack violated at edge " << e);
-    (void)lane;
-  };
-
-  if (config_.fuse_supersteps) {
-    if (validate) ++stats_.profile.fused_sweeps_saved;
-    ++stats_.profile.supersteps;
-    const PassTimer profile_timer(stats_.profile.pass_ms, "relaxed-superstep");
-    DeterministicReducer<int> deg(exec_->lanes(), 0);
-    exec_->for_members(A, [&](int lane, EdgeId e) {
-      const int di = induced_degree(lane, e, A);
-      deg.lane(lane) = std::max(deg.lane(lane), di);
-      if (validate) entry_check(lane, e, di);
-    });
-    return deg.max();
-  }
-
-  int d = 0;
-  {
-    const PassTimer barrier_timer(stats_.profile.barrier_ms, "measure");
-    d = max_induced_degree(A);
-  }
-  if (validate) {
-    const PassTimer validate_timer(stats_.profile.validate_ms, "validate");
-    exec_->for_members(A, [&](int lane, EdgeId e) {
-      entry_check(lane, e, induced_degree(lane, e, A));
-    });
-  }
-  return d;
+  });
+  return deg.max();
 }
 
 void SolverEngine::solve_basecase(const EdgeSubset& H) {
@@ -378,16 +310,8 @@ void SolverEngine::solve_no_slack(EdgeSubset H, int depth) {
         if (cache_) cache_->flush();
         exec_->for_indices(static_cast<int>(bucket.size()), [&](int lane, int t) {
           const EdgeId e = bucket[static_cast<std::size_t>(t)];
-          auto& list = work_[static_cast<std::size_t>(e)];
-          if (cache_) {
-            cache_->consume(lane, e, list);
-          } else {
-            g_.for_each_edge_neighbor(e, [&](EdgeId f) {
-              const Color cf = final_[static_cast<std::size_t>(f)];
-              if (cf != kUncolored) list.remove(cf);
-            });
-          }
-          if (2 * list.size() > deg0[static_cast<std::size_t>(e)]) {
+          prune_list(lane, e);
+          if (2 * work_[static_cast<std::size_t>(e)].size() > deg0[static_cast<std::size_t>(e)]) {
             is_active[static_cast<std::size_t>(t)] = 1;
           }
         });

@@ -41,35 +41,28 @@
 
 namespace qplec {
 
-/// How the engine actually scheduled its round loop: superstep fusion,
+/// How the engine actually scheduled its round loop: supersteps,
 /// validation-tier decisions and where the wall time between round barriers
 /// went.  The counters are deterministic for a fixed ExecConfig (they follow
 /// the serial control flow, not the lane layout); the *_ms splits are wall
 /// time — real but non-deterministic, never part of a fingerprint.
 struct RoundProfile {
-  /// Fused round-head sweeps executed (refresh + degree measurement + due
+  /// Round-head sweeps executed (refresh + degree measurement + due
   /// validation sharing one backend pass / one round barrier).
   std::int64_t supersteps = 0;
-  /// Separate sweeps (each its own barrier in the split schedule) that
-  /// fusion merged away.
-  std::int64_t fused_sweeps_saved = 0;
   /// Demoted invariant walks that ran / that the validation tier skipped.
   std::int64_t validation_walks_run = 0;
   std::int64_t validation_walks_skipped = 0;
   /// SolveControl polls (0 when no control is attached).
   std::int64_t checkpoints = 0;
-  /// Round-head sweeps: the fused superstep, or the refresh pass alone in
-  /// the split schedule.
+  /// Round-head supersteps.
   double pass_ms = 0.0;
-  /// Standalone demoted validation walks that ran (split schedule; fused
+  /// Standalone demoted validation walks that ran (the round-head
   /// validation is inside pass_ms).
   double validate_ms = 0.0;
   /// Progress-snapshot cost inside checkpoints — the ledger-total reads the
   /// incremental ledger made O(1)/O(depth).
   double ledger_ms = 0.0;
-  /// Extra standalone measurement sweeps (their own round barriers) the
-  /// split schedule pays and fusion eliminates.
-  double barrier_ms = 0.0;
 };
 
 struct SolverStats {
@@ -123,9 +116,8 @@ class SolverEngine {
   /// config: the round-loop knobs of the unified ExecConfig —
   /// use_neighbor_cache (maintain a NeighborColorCache so the refresh /
   /// mark-active / Lemma 4.3 restriction passes consume per-round deltas
-  /// instead of rescanning full neighborhoods), fuse_supersteps (merge the
-  /// round-head sweeps sharing a barrier into one backend pass) and the
-  /// validation tier (cadence of the demoted invariant walks).  Children
+  /// instead of rescanning full neighborhoods) and the validation tier
+  /// (cadence of the demoted invariant walks).  Children
   /// inherit the config; every combination is bit-identical (the
   /// differential suite in tests/test_roundloop.cpp pins it).  The engine
   /// ignores the sharding fields — the caller already resolved them into
@@ -177,25 +169,22 @@ class SolverEngine {
   // Base case: O(d^2 + log* X) conflict solve on H's induced line graph.
   void solve_basecase(const EdgeSubset& H);
 
-  // One synchronous round in which every edge of H deletes the final colors
-  // of its (whole-graph) neighbors from its working list.  On the cached
-  // path this consumes only the deltas finalized since each edge's previous
-  // refresh (same resulting lists).
-  void refresh_lists(const EdgeSubset& H);
+  // Deletes the final colors of e's finalized neighbors from e's working
+  // list: consumes the cache's deltas, or rescans the neighborhood on the
+  // uncached path (same resulting list).  Writes only e-owned state.
+  void prune_list(int lane, EdgeId e);
 
-  // The round head shared by solve_no_slack and solve_basecase: refresh the
-  // lists of H, measure max induced degree, and (when the validation gate
-  // fires) walk the (deg+1) feasibility invariant — fused into ONE backend
-  // pass under config_.fuse_supersteps, or run as the PR 5 split schedule
-  // (one barrier per sweep) otherwise.  Charges exactly the one refresh
-  // round either way; returns the measured degree.  `invariant` labels the
+  // The round head shared by solve_no_slack and solve_basecase, one backend
+  // pass: one synchronous round in which every edge of H prunes its list
+  // (prune_list), plus the max induced degree measurement and (when the
+  // validation gate fires) the (deg+1) feasibility walk.  Charges the one
+  // refresh round; returns the measured degree.  `invariant` labels the
   // feasibility assert's message.
   int round_head(const EdgeSubset& H, const char* invariant);
 
-  // The solve_relaxed entry head: measure max induced degree over A and
-  // (when the gate fires) walk the P(dbar, S, C) entry invariant — fused
-  // into one pass, or split, by the same rule.  Charges nothing (neither
-  // sweep is a communication round).
+  // The solve_relaxed entry head, one pass: measure max induced degree over
+  // A and (when the gate fires) walk the P(dbar, S, C) entry invariant.
+  // Charges nothing (neither is a communication round).
   int relaxed_head(const EdgeSubset& A, double slack, Color lo, Color hi);
 
   // Draws the validation gate for one demoted walk site and records the

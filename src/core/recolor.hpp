@@ -26,7 +26,7 @@
 // only for the region instead of rebuilding the full O(sum deg^2) payload —
 // and solve_conflict_list Linial-reduces an id coloring and sweeps.  Every
 // stage routes through ExecBackend, so the repaired colors are bit-identical
-// across shard counts, fusion modes and cache settings, exactly like a full
+// across shard counts and cache settings, exactly like a full
 // solve.
 #pragma once
 

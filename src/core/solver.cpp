@@ -45,8 +45,8 @@ SolveResult Solver::run(const ListEdgeColoringInstance& instance, double slack,
 
   // Execution-backend selection.  kProcess always forks (no min-size gate —
   // the paper's model, and the differential tests, want the real message
-  // path on small instances too); kSerial pins the seed path; kAuto/kSharded
-  // fan large instances out over edge shards (src/dist) and keep the rest
+  // path on small instances too); kSerial pins the seed path; kAuto fans
+  // large instances out over edge shards (src/dist) and keeps the rest
   // serial.
   if (config_.backend == BackendKind::kProcess) {
     return process_solve(instance, policy_, slack, config_, control);

@@ -71,7 +71,6 @@ void encode_job(Encoder& enc, const WorkerJob& job) {
 
   enc.put_double(job.slack);
 
-  enc.put_u8(job.config.fuse_supersteps ? 1 : 0);
   enc.put_u8(static_cast<std::uint8_t>(job.config.validation_tier));
   enc.put_u8(job.config.metrics ? 1 : 0);
 }
@@ -114,7 +113,6 @@ WorkerJob decode_job(const std::vector<std::uint8_t>& payload) {
   job.slack = dec.get_double();
 
   job.config = ExecConfig{};
-  job.config.fuse_supersteps = dec.get_u8() != 0;
   job.config.validation_tier = static_cast<ValidationTier>(dec.get_u8());
   job.config.metrics = dec.get_u8() != 0;
   // Rank-local overrides: the rank IS a lane, so it runs the serial backend
@@ -158,14 +156,12 @@ void encode_result(Encoder& enc, const SolveResult& res) {
   enc.put_double(s.restrict_ms);
   const RoundProfile& p = s.profile;
   enc.put_signed(p.supersteps);
-  enc.put_signed(p.fused_sweeps_saved);
   enc.put_signed(p.validation_walks_run);
   enc.put_signed(p.validation_walks_skipped);
   enc.put_signed(p.checkpoints);
   enc.put_double(p.pass_ms);
   enc.put_double(p.validate_ms);
   enc.put_double(p.ledger_ms);
-  enc.put_double(p.barrier_ms);
 }
 
 SolveResult decode_result(const std::vector<std::uint8_t>& payload) {
@@ -201,14 +197,12 @@ SolveResult decode_result(const std::vector<std::uint8_t>& payload) {
   s.restrict_ms = dec.get_double();
   RoundProfile& p = s.profile;
   p.supersteps = dec.get_signed();
-  p.fused_sweeps_saved = dec.get_signed();
   p.validation_walks_run = dec.get_signed();
   p.validation_walks_skipped = dec.get_signed();
   p.checkpoints = dec.get_signed();
   p.pass_ms = dec.get_double();
   p.validate_ms = dec.get_double();
   p.ledger_ms = dec.get_double();
-  p.barrier_ms = dec.get_double();
   return res;
 }
 

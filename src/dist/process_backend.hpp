@@ -12,7 +12,7 @@
 // (EdgePartition, the same partition the threaded backend shards by) and the
 // updated working lists of owned edges are exchanged through the hub at the
 // superstep barrier (ExecBackend::for_members_owned), with one allreduce_max
-// completing the fused degree reduction.  The parent process is a pure
+// completing the round head's degree reduction.  The parent process is a pure
 // message hub: it relays collectives, watches for rank death (EOF ->
 // BackendError, never a hang), and polls the SolveControl so cancellation
 // and deadlines keep working.

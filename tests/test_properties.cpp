@@ -240,11 +240,10 @@ TEST(PropertyFuzz, CacheOnOffBitIdenticalAcrossRandomGraphSweep) {
   EXPECT_GE(swept, 25);  // the sweep must not silently degenerate
 }
 
-// The round-loop schedule sweep: superstep fusion on/off x validation tier
-// {off, sampled, every_round} must leave every fingerprint — colors, rounds,
-// raw rounds, the full ledger report — bit-identical to the reference
-// schedule (unfused, every_round) on a seeded random-graph sweep.  The
-// schedule knobs only reorganize sweeps and skip pure-assert walks; nothing
+// The round-loop validation sweep: validation tier {off, sampled,
+// every_round} must leave every fingerprint — colors, rounds, raw rounds, the
+// full ledger report — bit-identical to the every_round reference on a
+// seeded random-graph sweep.  The tier only skips pure-assert walks; nothing
 // an edge observes may change.
 TEST(PropertyFuzz, FusionAndValidationTierBitIdenticalAcrossRandomSweep) {
   struct Case {
@@ -269,26 +268,20 @@ TEST(PropertyFuzz, FusionAndValidationTierBitIdenticalAcrossRandomSweep) {
       ++swept;
 
       ExecConfig reference_config;
-      reference_config.fuse_supersteps = false;
       reference_config.validation_tier = ValidationTier::kEveryRound;
       const SolveResult reference =
           Solver(Policy::practical(), reference_config).solve(instance);
 
-      for (const bool fuse : {true, false}) {
-        for (const ValidationTier tier :
-             {ValidationTier::kOff, ValidationTier::kSampled,
-              ValidationTier::kEveryRound}) {
-          ExecConfig config;
-          config.fuse_supersteps = fuse;
-          config.validation_tier = tier;
-          const SolveResult res = Solver(Policy::practical(), config).solve(instance);
-          const std::string tag = scenario.name() + (fuse ? " fused" : " split") +
-                                  " tier=" + validation_tier_name(tier);
-          EXPECT_EQ(res.colors, reference.colors) << tag;
-          EXPECT_EQ(res.rounds, reference.rounds) << tag;
-          EXPECT_EQ(res.raw_rounds, reference.raw_rounds) << tag;
-          EXPECT_EQ(res.round_report, reference.round_report) << tag;
-        }
+      for (const ValidationTier tier :
+           {ValidationTier::kOff, ValidationTier::kSampled, ValidationTier::kEveryRound}) {
+        ExecConfig config;
+        config.validation_tier = tier;
+        const SolveResult res = Solver(Policy::practical(), config).solve(instance);
+        const std::string tag = scenario.name() + " tier=" + validation_tier_name(tier);
+        EXPECT_EQ(res.colors, reference.colors) << tag;
+        EXPECT_EQ(res.rounds, reference.rounds) << tag;
+        EXPECT_EQ(res.raw_rounds, reference.raw_rounds) << tag;
+        EXPECT_EQ(res.round_report, reference.round_report) << tag;
       }
     }
   }

@@ -31,10 +31,10 @@ Usage:
         # additionally print each scenario's unified ``stats`` block (the
         # SolverStats surface every producer emits verbatim via
         # solver_stats_json: pass counters, cache telemetry, and the
-        # round-loop ``profile`` — supersteps, fused sweeps saved,
-        # validation walks run/skipped).  Informational only: the counters
-        # are schedule-dependent by design (fusion/tier change them while
-        # the fingerprint stays pinned), so they are never gated.
+        # round-loop ``profile`` — supersteps, validation walks
+        # run/skipped).  Informational only: the counters are
+        # schedule-dependent by design (the tier changes them while the
+        # fingerprint stays pinned), so they are never gated.
 
 The golden file stores only the fingerprint fields (plus the informational
 cache ratio), so re-baselining after an intentional algorithm change
@@ -190,7 +190,6 @@ def main():
             profile = stats.get("profile", {})
             print(
                 f"  {s['name']}: supersteps={profile.get('supersteps')} "
-                f"fused_sweeps_saved={profile.get('fused_sweeps_saved')} "
                 f"validation_walks={profile.get('validation_walks_run')}/"
                 f"{profile.get('validation_walks_skipped')} skipped, "
                 f"cache_deltas={stats.get('cache_deltas')} "
