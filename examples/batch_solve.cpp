@@ -2,7 +2,6 @@
 //
 //   usage: batch_solve [--threads N] [--manifest file] [--out BENCH_batch.json]
 //                      [--seed N] [--quiet] [--shards N] [--sharded-min-edges M]
-//                      [--backend auto|serial|process] [--ranks N]
 //                      [--no-neighbor-cache] [--no-result-cache]
 //                      [--max-queue-depth N] [--churn N]
 //                      [--validation-tier off|sampled|every_round] [--stressors]
@@ -19,10 +18,6 @@
 // the rest on the serial per-worker path; results are identical either way.
 // All sharded solves of one batch lease a single shared worker pool (sized
 // once inside BatchSolver), so --shards never multiplies thread counts.
-// --backend process routes every solve through the fork-based message-passing
-// backend with --ranks worker processes (src/dist/process_backend) — the
-// fingerprints stay identical to the serial path, which is exactly what the
-// CI process-smoke leg checks against the serial golden file.
 // --no-neighbor-cache disables the incremental neighbor-color cache on every
 // solve (the full-rescan reference path; identical output) — CI diffs the
 // two reports to prove it.  --validation-tier sets the demoted-walk cadence
@@ -49,8 +44,8 @@
 // whether each landed on the incremental repair path or fell back to a full
 // re-solve; churn failures count into the exit status.
 //
-// A numeric flag value must be the whole token and in range (e.g. --shards,
-// --ranks and --churn >= 1); anything else is a usage error with exit
+// A numeric flag value must be the whole token and in range (e.g. --shards
+// and --churn >= 1); anything else is a usage error with exit
 // status 2.
 //
 // Manifest format, one scenario per line ('#' comments):
@@ -63,7 +58,6 @@
 
 #include "bench/support.hpp"
 #include "examples/flag_parse.hpp"
-#include "src/dist/process_backend.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/runtime/batch_solver.hpp"
 #include "src/runtime/reporter.hpp"
@@ -77,7 +71,6 @@ int usage() {
                "usage: batch_solve [--threads N] [--manifest file] "
                "[--out BENCH_batch.json] [--seed N] [--quiet] "
                "[--shards N] [--sharded-min-edges M] "
-               "[--backend auto|serial|process] [--ranks N] "
                "[--no-neighbor-cache] [--no-result-cache] "
                "[--max-queue-depth N] [--churn N] "
                "[--validation-tier off|sampled|every_round] [--stressors] "
@@ -107,15 +100,10 @@ std::vector<qplec::Scenario> stressor_scenarios(std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   using namespace qplec;
-  // Must run before anything else: when this binary was re-exec'd as a
-  // process-backend rank worker, this call never returns.
-  process_worker_guard(argc, argv);
 
   int threads = 0;
   int shards = 1;
   int sharded_min_edges = -1;
-  BackendKind backend = BackendKind::kAuto;
-  int ranks = ExecConfig{}.ranks;
   std::string manifest_path;
   std::string out_path = "BENCH_batch.json";
   std::uint64_t seed = 42;
@@ -135,19 +123,6 @@ int main(int argc, char** argv) {
       shards = cli::parse_flag(argv[++i], usage, 1);
     } else if (arg == "--sharded-min-edges" && i + 1 < argc) {
       sharded_min_edges = cli::parse_flag(argv[++i], usage, 0);
-    } else if (arg == "--backend" && i + 1 < argc) {
-      const std::string kind = argv[++i];
-      if (kind == "auto") {
-        backend = BackendKind::kAuto;
-      } else if (kind == "serial") {
-        backend = BackendKind::kSerial;
-      } else if (kind == "process") {
-        backend = BackendKind::kProcess;
-      } else {
-        return usage();
-      }
-    } else if (arg == "--ranks" && i + 1 < argc) {
-      ranks = cli::parse_flag(argv[++i], usage, 1);
     } else if (arg == "--manifest" && i + 1 < argc) {
       manifest_path = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {
@@ -211,8 +186,6 @@ int main(int argc, char** argv) {
   ExecConfig config;
   config.workers = threads;
   config.shards = shards;
-  config.backend = backend;
-  config.ranks = ranks;
   config.use_neighbor_cache = neighbor_cache;
   config.validation_tier = validation_tier;
   if (sharded_min_edges >= 0) config.min_sharded_edges = sharded_min_edges;

@@ -2,7 +2,6 @@
 //
 //   usage: cli_solve [--algorithm bko|greedy|kw|luby|central] [--seed N]
 //                    [--list-palette C] [--shards N] [--threads N]
-//                    [--backend auto|serial|process] [--ranks N]
 //                    [--no-neighbor-cache] [--no-result-cache]
 //                    [--max-queue-depth N]
 //                    [--validation-tier off|sampled|every_round]
@@ -19,9 +18,7 @@
 // The bko algorithm routes through qplec::SolveService (src/service), the
 // same front door the batch runtime uses: --shards N runs the solve N-way
 // parallel on the sharded backend (identical output), --threads caps the
-// shard workers, --backend picks the execution backend explicitly (process
-// forks --ranks message-passing workers; output stays bit-identical),
-// --deadline-ms bounds the wall clock (the solve stops at a
+// shard workers, --deadline-ms bounds the wall clock (the solve stops at a
 // round boundary with status deadline_exceeded), --no-result-cache bypasses
 // the service's memoized-outcome cache (one job per run makes it moot here;
 // the flag exists for parity with the service surface) and --max-queue-depth
@@ -45,7 +42,7 @@
 // writes Chrome trace_event JSON — open it in chrome://tracing.
 //
 // A numeric flag value must be the whole token and in range (e.g. --shards
-// and --ranks >= 1, --deadline-ms >= 0); anything else is a usage error with
+// >= 1, --deadline-ms >= 0); anything else is a usage error with
 // exit status 2.
 #include <chrono>
 #include <cstdio>
@@ -59,7 +56,6 @@
 #include "src/coloring/greedy.hpp"
 #include "src/coloring/validate.hpp"
 #include "src/core/solver.hpp"
-#include "src/dist/process_backend.hpp"
 #include "src/graph/io.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
@@ -73,7 +69,6 @@ int usage() {
   std::fprintf(stderr,
                "usage: cli_solve [--algorithm bko|greedy|kw|luby|central] "
                "[--seed N] [--list-palette C] [--shards N] [--threads N] "
-               "[--backend auto|serial|process] [--ranks N] "
                "[--no-neighbor-cache] "
                "[--no-result-cache] [--max-queue-depth N] "
                "[--recolor-budget N] [--churn-file ops.txt] "
@@ -160,9 +155,6 @@ void print_json(const qplec::SolveOutcome& out, const std::string& algorithm,
 
 int main(int argc, char** argv) {
   using namespace qplec;
-  // Must run before anything else: when this binary was re-exec'd as a
-  // process-backend rank worker, this call never returns.
-  process_worker_guard(argc, argv);
 
   std::string algorithm = "bko";
   std::string path;
@@ -170,8 +162,6 @@ int main(int argc, char** argv) {
   Color list_palette = 0;
   int shards = 1;
   int threads = 0;
-  BackendKind backend = BackendKind::kAuto;
-  int ranks = ExecConfig{}.ranks;
   double deadline_ms = -1.0;
   bool neighbor_cache = true;
   bool result_cache = true;
@@ -196,19 +186,6 @@ int main(int argc, char** argv) {
       shards = cli::parse_flag(argv[++i], usage, 1);
     } else if (arg == "--threads" && i + 1 < argc) {
       threads = cli::parse_flag(argv[++i], usage, 0);
-    } else if (arg == "--backend" && i + 1 < argc) {
-      const std::string kind = argv[++i];
-      if (kind == "auto") {
-        backend = BackendKind::kAuto;
-      } else if (kind == "serial") {
-        backend = BackendKind::kSerial;
-      } else if (kind == "process") {
-        backend = BackendKind::kProcess;
-      } else {
-        return usage();
-      }
-    } else if (arg == "--ranks" && i + 1 < argc) {
-      ranks = cli::parse_flag(argv[++i], usage, 1);
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
       deadline_ms = cli::parse_flag(argv[++i], usage, 0.0);
     } else if (arg == "--no-neighbor-cache") {
@@ -255,8 +232,6 @@ int main(int argc, char** argv) {
   config.workers = 1;  // one job: the CLI's solve
   config.shards = shards;
   config.shard_threads = threads;
-  config.backend = backend;
-  config.ranks = ranks;
   config.use_neighbor_cache = neighbor_cache;
   config.validation_tier = validation_tier;
   config.trace_path = trace_path;

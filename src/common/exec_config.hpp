@@ -37,16 +37,6 @@ enum class ValidationTier {
 
 const char* validation_tier_name(ValidationTier tier);
 
-/// Which ExecBackend implementation a solve runs on.
-enum class BackendKind {
-  kAuto,     ///< seed behavior: sharded when wants_sharding(), else serial
-  kSerial,   ///< always the serial backend, regardless of shards
-  kProcess,  ///< multi-process backend: `ranks` forked worker processes
-             ///< exchanging boundary messages (src/dist/process_backend).
-             ///< Always taken when selected — no min-size gate — so small
-             ///< instances exercise the real message path too.
-};
-
 /// Tier this build defaults to: kEveryRound in Debug builds (!NDEBUG),
 /// kSampled in Release.  Defined in exec_config.cpp so one definition —
 /// compiled with the library — decides, whatever NDEBUG a client TU sees.
@@ -99,16 +89,6 @@ struct ExecConfig {
   /// Number of shards one instance's rounds are split into; <= 1 runs the
   /// seed's serial path.
   int shards = 1;
-
-  /// Which execution backend solves run on (see BackendKind).  kAuto keeps
-  /// the historical shards/min_sharded_edges gating; kProcess forks `ranks`
-  /// worker processes per solve.  Output is bit-identical across every
-  /// backend (tests/test_process_backend.cpp pins the differential).
-  BackendKind backend = BackendKind::kAuto;
-
-  /// Worker-rank processes of the process backend (clamped to the edge-id
-  /// universe, like shards).  Only read when backend == kProcess.
-  int ranks = 2;
 
   /// Worker threads backing the sharded backend; <= 0 picks
   /// min(shards, hardware concurrency).  Ignored when shared_pool is set

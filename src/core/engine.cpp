@@ -186,22 +186,16 @@ int SolverEngine::round_head(const EdgeSubset& H, const char* invariant) {
   const PassTimer timer(stats_.refresh_ms);
   DeterministicReducer<int> deg(exec_->lanes(), 0);
   if (cache_) cache_->flush();
-  // Owned-only on a distributed backend: each rank refreshes its shard, the
-  // exchange gathers the lists, and the degree reduction finishes with an
-  // allreduce (a no-op max on shared-memory backends).
-  exec_->for_members_owned(
-      H,
-      [&](int lane, EdgeId e) {
-        prune_list(lane, e);
-        const int di = induced_degree(lane, e, H);
-        deg.lane(lane) = std::max(deg.lane(lane), di);
-        if (validate) {
-          QPLEC_ASSERT_MSG(work_[static_cast<std::size_t>(e)].size() >= di + 1,
-                           invariant << " violated at edge " << e);
-        }
-      },
-      work_);
-  return static_cast<int>(exec_->allreduce_max(deg.max()));
+  exec_->for_members(H, [&](int lane, EdgeId e) {
+    prune_list(lane, e);
+    const int di = induced_degree(lane, e, H);
+    deg.lane(lane) = std::max(deg.lane(lane), di);
+    if (validate) {
+      QPLEC_ASSERT_MSG(work_[static_cast<std::size_t>(e)].size() >= di + 1,
+                       invariant << " violated at edge " << e);
+    }
+  });
+  return deg.max();
 }
 
 int SolverEngine::relaxed_head(const EdgeSubset& A, double slack, Color lo, Color hi) {

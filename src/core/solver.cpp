@@ -6,60 +6,19 @@
 #include "src/coloring/initial.hpp"
 #include "src/coloring/linial.hpp"
 #include "src/coloring/validate.hpp"
-#include "src/dist/process_backend.hpp"
 #include "src/graph/subset.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 
 namespace qplec {
 
-SolveResult Solver::solve(const ListEdgeColoringInstance& instance,
-                          const SolveControl* control) const {
-  validate_instance(instance);
-  return run(instance, 1.0, control);
-}
+namespace {
 
-SolveResult Solver::solve_relaxed(const ListEdgeColoringInstance& instance, double slack,
-                                  const SolveControl* control) const {
-  QPLEC_REQUIRE(slack >= 1.0);
-  const Graph& g = instance.graph;
-  QPLEC_REQUIRE(static_cast<int>(instance.lists.size()) == g.num_edges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    QPLEC_REQUIRE_MSG(
-        static_cast<double>(instance.lists[static_cast<std::size_t>(e)].size()) >
-            slack * g.edge_degree(e),
-        "edge " << e << " violates |L| > " << slack << " * deg(e)");
-  }
-  return run(instance, slack, control);
-}
-
-SolveResult Solver::run(const ListEdgeColoringInstance& instance, double slack,
-                        const SolveControl* control) const {
-  const Graph& g = instance.graph;
-
-  if (g.num_edges() == 0) {
-    SolveResult res;
-    res.colors.clear();
-    return res;
-  }
-
-  // Execution-backend selection.  kProcess always forks (no min-size gate —
-  // the paper's model, and the differential tests, want the real message
-  // path on small instances too); kSerial pins the seed path; kAuto fans
-  // large instances out over edge shards (src/dist) and keeps the rest
-  // serial.
-  if (config_.backend == BackendKind::kProcess) {
-    return process_solve(instance, policy_, slack, config_, control);
-  }
-  std::unique_ptr<ShardedExecution> sharded;
-  const ExecBackend* exec = nullptr;
-  if (config_.backend != BackendKind::kSerial && config_.wants_sharding(g.num_edges())) {
-    sharded = std::make_unique<ShardedExecution>(g, config_);
-    exec = &sharded->backend();
-  }
-  return solve_pipeline(instance, policy_, slack, exec, config_, control);
-}
-
+/// The solve pipeline (phase 0 initial coloring + Linial reduction, the
+/// Section 4 recursion, final validation, ledger totals): everything
+/// Solver::run does after choosing the execution backend.  `exec` null =
+/// serial; `instance` must be non-empty and pre-validated; slack > 1.0 takes
+/// the relaxed path.
 SolveResult solve_pipeline(const ListEdgeColoringInstance& instance, const Policy& policy,
                            double slack, const ExecBackend* exec, const ExecConfig& config,
                            const SolveControl* control) {
@@ -110,6 +69,49 @@ SolveResult solve_pipeline(const ListEdgeColoringInstance& instance, const Polic
   rounds_total.inc(static_cast<std::uint64_t>(res.rounds));
   rounds_last.set(res.rounds);
   return res;
+}
+
+}  // namespace
+
+SolveResult Solver::solve(const ListEdgeColoringInstance& instance,
+                          const SolveControl* control) const {
+  validate_instance(instance);
+  return run(instance, 1.0, control);
+}
+
+SolveResult Solver::solve_relaxed(const ListEdgeColoringInstance& instance, double slack,
+                                  const SolveControl* control) const {
+  QPLEC_REQUIRE(slack >= 1.0);
+  const Graph& g = instance.graph;
+  QPLEC_REQUIRE(static_cast<int>(instance.lists.size()) == g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    QPLEC_REQUIRE_MSG(
+        static_cast<double>(instance.lists[static_cast<std::size_t>(e)].size()) >
+            slack * g.edge_degree(e),
+        "edge " << e << " violates |L| > " << slack << " * deg(e)");
+  }
+  return run(instance, slack, control);
+}
+
+SolveResult Solver::run(const ListEdgeColoringInstance& instance, double slack,
+                        const SolveControl* control) const {
+  const Graph& g = instance.graph;
+
+  if (g.num_edges() == 0) {
+    SolveResult res;
+    res.colors.clear();
+    return res;
+  }
+
+  // Large instances fan out over edge shards (src/dist); the rest stay on
+  // the serial backend.
+  std::unique_ptr<ShardedExecution> sharded;
+  const ExecBackend* exec = nullptr;
+  if (config_.wants_sharding(g.num_edges())) {
+    sharded = std::make_unique<ShardedExecution>(g, config_);
+    exec = &sharded->backend();
+  }
+  return solve_pipeline(instance, policy_, slack, exec, config_, control);
 }
 
 }  // namespace qplec

@@ -31,17 +31,6 @@ struct SolveResult {
   std::string round_report;  ///< human-readable ledger tree
 };
 
-/// The backend-agnostic solve pipeline (phase 0 initial coloring + Linial
-/// reduction, the Section 4 recursion, final validation, ledger totals):
-/// everything Solver::run does AFTER choosing an execution backend.  Exposed
-/// so the process backend's worker ranks (src/dist/process_backend) can run
-/// the identical pipeline on their rank-local ExecBackend.  `exec` null =
-/// serial; `instance` must be non-empty and pre-validated; slack > 1.0 takes
-/// the relaxed path.
-SolveResult solve_pipeline(const ListEdgeColoringInstance& instance, const Policy& policy,
-                           double slack, const ExecBackend* exec, const ExecConfig& config,
-                           const SolveControl* control);
-
 class Solver {
  public:
   /// config carries the unified execution knobs (src/common/exec_config.hpp):
@@ -49,7 +38,7 @@ class Solver {
   /// simulates the instance's rounds S-way parallel (src/dist) once the
   /// graph crosses config.min_sharded_edges; the neighbor cache and the
   /// validation tier select the round-loop variant.  Results are
-  /// bit-identical across backends, shard counts, cache modes and tiers.
+  /// bit-identical across shard counts, cache modes and tiers.
   explicit Solver(Policy policy = Policy::practical(), ExecConfig config = {})
       : policy_(std::move(policy)), config_(config) {}
 

@@ -28,21 +28,6 @@ GraphBuilder& GraphBuilder::carry_local_ids(const Graph& from) {
   return *this;
 }
 
-GraphBuilder& GraphBuilder::set_local_ids(std::vector<std::uint64_t> ids,
-                                          std::uint64_t max_local_id) {
-  QPLEC_REQUIRE_MSG(ids.size() == static_cast<std::size_t>(num_nodes_),
-                    "set_local_ids: id count mismatch (" << ids.size() << " vs " << num_nodes_
-                                                         << ")");
-  for (const std::uint64_t id : ids) {
-    QPLEC_REQUIRE_MSG(id >= 1 && id <= max_local_id, "set_local_ids: id " << id
-                                                                          << " outside [1, "
-                                                                          << max_local_id << "]");
-  }
-  local_ids_ = std::move(ids);
-  max_local_id_ = max_local_id;
-  return *this;
-}
-
 Graph GraphBuilder::build() const {
   std::vector<EdgeEndpoints> edges = pending_;
   std::sort(edges.begin(), edges.end(), [](const EdgeEndpoints& a, const EdgeEndpoints& b) {

@@ -35,12 +35,6 @@ class GraphBuilder {
   /// fingerprint) keeps seeing the ids the base solve saw.
   GraphBuilder& carry_local_ids(const Graph& from);
 
-  /// Installs explicit LOCAL ids (one per node) plus the id-space bound
-  /// max_local_id (>= every id; it is part of the instance — the paper's
-  /// O(log* X) terms read X from it).  Deserialization uses this to rebuild
-  /// a graph bit-identical to a remote original.
-  GraphBuilder& set_local_ids(std::vector<std::uint64_t> ids, std::uint64_t max_local_id);
-
   /// Builds the immutable graph.  The builder may be reused afterwards.
   Graph build() const;
 

@@ -104,11 +104,8 @@ std::uint64_t fingerprint_policy(const Policy& policy) {
 
 std::uint64_t fingerprint_exec_knobs(const ExecConfig& config) {
   Fnv1a f;
-  // Backend identity is part of the key: colors are bit-identical across
-  // backends, but the outcome's reporting surface (shards, rank-side stats)
-  // is not.
-  f.mix(static_cast<int>(config.backend));
-  f.mix(config.ranks);
+  // The shard count is part of the key: colors are bit-identical across
+  // shard counts, but the outcome's reporting surface (shards) is not.
   f.mix(config.shards);
   f.mix(config.min_sharded_edges);
   f.mix(config.use_neighbor_cache);

@@ -69,17 +69,12 @@ enum class SolveStatus {
                         ///< estimated drain time already exceeded the
                         ///< request's deadline.  No work was done; resubmit
                         ///< later (outcome.queue_ms records the reject time).
-  kBackendFailure,      ///< the process backend's transport failed mid-solve
-                        ///< (a worker rank died, a socket error, protocol
-                        ///< divergence — net::BackendError).  The ranks are
-                        ///< killed and reaped; no partial output escapes;
-                        ///< resubmitting (or switching backend) is safe.
 };
 
 const char* status_name(SolveStatus status);
 
 /// Number of SolveStatus values (sizes per-status telemetry arrays).
-inline constexpr int kNumSolveStatuses = 7;
+inline constexpr int kNumSolveStatuses = 6;
 
 /// Point-in-time service telemetry, read from the process-wide
 /// MetricsRegistry by SolveService::metrics_snapshot().  All series are

@@ -22,7 +22,6 @@
 #include "src/core/recolor.hpp"
 #include "src/core/solver.hpp"
 #include "src/dist/backend.hpp"
-#include "src/dist/process_backend.hpp"
 #include "src/graph/builder.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/subset.hpp"
@@ -454,62 +453,5 @@ TEST(PropertyFuzz, ServiceSubmissionMatchesDirectSolveAcrossRandomSweep) {
   EXPECT_GE(swept, 12);  // the sweep must not silently degenerate
 }
 
-// The process-backend rank sweep: real forked message-passing workers must
-// reproduce the serial solve bit for bit — colors, round counts, the full
-// ledger report — across random families and rank counts (including ranks
-// that do not divide the edge count evenly).  This is the PropertyFuzz
-// analogue of the smoke differential in test_process_backend.cpp, over
-// instances nobody hand-picked.
-TEST(PropertyFuzz, ProcessBackendBitIdenticalToSerialAcrossRandomSweep) {
-  struct Case {
-    GraphFamily family;
-    int size;
-    int aux;
-  };
-  const Case cases[] = {
-      {GraphFamily::kGnp, 36, 0},
-      {GraphFamily::kRegular, 40, 5},
-      {GraphFamily::kPowerLaw, 48, 8},
-      {GraphFamily::kTree, 45, 0},
-  };
-  const int rank_counts[] = {2, 5};
-  int swept = 0;
-  for (const Case& c : cases) {
-    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-      const Scenario scenario{c.family, c.size,
-                              seed % 2 ? ListFlavor::kTwoDelta : ListFlavor::kRandomDegPlusOne,
-                              PolicyKind::kPractical, seed, c.aux};
-      const ListEdgeColoringInstance instance = build_instance(scenario);
-      if (instance.graph.num_edges() == 0) continue;
-      ++swept;
-      const SolveResult serial = Solver(Policy::practical()).solve(instance);
-      for (const int ranks : rank_counts) {
-        ExecConfig config;
-        config.backend = BackendKind::kProcess;
-        config.ranks = ranks;
-        const SolveResult res = Solver(Policy::practical(), config).solve(instance);
-        EXPECT_EQ(res.colors, serial.colors) << scenario.name() << " ranks=" << ranks;
-        EXPECT_EQ(res.rounds, serial.rounds) << scenario.name() << " ranks=" << ranks;
-        EXPECT_EQ(res.raw_rounds, serial.raw_rounds)
-            << scenario.name() << " ranks=" << ranks;
-        EXPECT_EQ(res.round_report, serial.round_report)
-            << scenario.name() << " ranks=" << ranks;
-        EXPECT_TRUE(is_valid_list_coloring(instance, res.colors))
-            << scenario.name() << " ranks=" << ranks;
-      }
-    }
-  }
-  EXPECT_GE(swept, 7);  // the sweep must not silently degenerate
-}
-
 }  // namespace
 }  // namespace qplec
-
-// Custom main: the worker guard MUST run before gtest — the process-backend
-// rank sweep re-execs this binary as its rank workers, and the guard routes
-// those invocations into the rank protocol instead of the test suite.
-int main(int argc, char** argv) {
-  qplec::process_worker_guard(argc, argv);
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/coloring/greedy.hpp"
 #include "src/coloring/validate.hpp"
 #include "src/graph/builder.hpp"
@@ -11,6 +13,14 @@
 #include "src/runtime/scenarios.hpp"
 
 namespace qplec {
+
+// gtest prints a parameter into the ctest name's "# GetParam() =" suffix;
+// without this it dumps Scenario's raw bytes, tail padding included, so the
+// name would change from build to build.
+void PrintTo(const Scenario& scenario, std::ostream* os) {
+  *os << scenario.name();
+}
+
 namespace {
 
 // The family x size x flavor enumeration lives in src/runtime/scenarios.hpp
