@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
       s.edges = w.graph.num_edges();
       s.delta = w.graph.max_degree();
       s.shards = shards;
-      // Balance of the edge partition the sharded backend actually runs on
+      // Balance of the edge partition a sharded ExecBackend actually runs on
       // (1.0 = perfectly even round work per lane).
       const EdgePartition epart(w.graph, shards);
       std::int64_t total_weight = 0, largest_weight = 0;

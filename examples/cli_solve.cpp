@@ -17,7 +17,7 @@
 //
 // The bko algorithm routes through qplec::SolveService (src/service), the
 // same front door the batch runtime uses: --shards N runs the solve N-way
-// parallel on the sharded backend (identical output), --threads caps the
+// parallel on a sharded ExecBackend (identical output), --threads caps the
 // shard workers, --deadline-ms bounds the wall clock (the solve stops at a
 // round boundary with status deadline_exceeded), --no-result-cache bypasses
 // the service's memoized-outcome cache (one job per run makes it moot here;

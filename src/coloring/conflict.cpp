@@ -2,14 +2,12 @@
 
 #include <algorithm>
 
-#include "src/dist/reducer.hpp"
-
 namespace qplec {
 
 int max_conflict_degree(const ConflictView& view, const ExecBackend* exec) {
-  if (exec == nullptr) exec = &serial_backend();
-  DeterministicReducer<int> best(exec->lanes(), 0);
-  exec->for_indices(view.num_items(), [&](int lane, int i) {
+  const ExecBackend& ex = exec_or_inline(exec);
+  LaneScratch<int> best(ex.lanes(), 0);
+  ex.for_indices(view.num_items(), [&](int lane, int i) {
     if (view.active(i)) best.lane(lane) = std::max(best.lane(lane), view.degree(i));
   });
   return best.max();

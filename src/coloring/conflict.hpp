@@ -16,8 +16,8 @@
 //
 // Thread-safety contract: every ConflictView implementation is immutable
 // after construction, so active()/for_each_neighbor()/degree() may be called
-// concurrently from the workers of an ExecBackend — the property the
-// backend-routed primitives (src/coloring/{linial,greedy,defective}) rely
+// concurrently from the lanes of a sharded ExecBackend — the property the
+// executor-routed primitives (src/coloring/{linial,greedy,defective}) rely
 // on.
 //
 // Callback contract: for_each_neighbor borrows its callback (a NeighborFn,
@@ -147,10 +147,10 @@ class ExplicitConflict final : public ConflictView {
   std::vector<std::vector<int>> adj_;
 };
 
-/// ConflictView::max_degree computed through an execution backend: the item
-/// scan fans out over the backend's lanes and folds with a per-lane max
-/// (order-invariant, so the result is bit-identical for any lane layout).
-/// Null exec runs on the process-wide serial backend.
+/// ConflictView::max_degree computed through the executor: the item scan
+/// fans out over its lanes and folds with a per-lane max (order-invariant,
+/// so the result is bit-identical for any lane layout).  Null exec runs on
+/// one inline lane.
 int max_conflict_degree(const ConflictView& view, const ExecBackend* exec);
 
 }  // namespace qplec

@@ -14,7 +14,7 @@ DefectiveColoring defective_edge_coloring(const Graph& g, const EdgeSubset& H, i
                                           const std::vector<std::uint64_t>& phi,
                                           std::uint64_t phi_palette, RoundLedger& ledger,
                                           const ExecBackend* exec, ValidationGate* gate) {
-  const ExecBackend& ex = exec != nullptr ? *exec : serial_backend();
+  const ExecBackend& ex = exec_or_inline(exec);
   QPLEC_REQUIRE(beta >= 1);
   QPLEC_REQUIRE(H.universe_size() == g.num_edges());
   const int group_cap = 4 * beta;

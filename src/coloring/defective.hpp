@@ -37,7 +37,7 @@ struct DefectiveColoring {
 /// phi/phi_palette: a proper edge coloring of (at least) the edges of H used
 /// to seed the path/cycle 3-coloring.  The per-node passes (grouping /
 /// numbering, same-group conflict detection) and per-edge passes run on
-/// `exec` (null = serial backend; on a sharded backend g must be the sharded
+/// `exec` (null = one inline lane; with more lanes g must be the executor's
 /// graph) with bit-identical results for any lane count.
 /// `gate` (optional) tiers the standalone assert sweeps (paths/cycles degree
 /// bound, final defect bound) — the output never depends on them; null

@@ -19,7 +19,7 @@ void greedy_by_classes(const ConflictView& view, const std::vector<ColorList>& l
                        const std::vector<std::uint64_t>& phi, std::uint64_t palette,
                        std::vector<Color>& out, RoundLedger& ledger, const ExecBackend* exec,
                        const SolveControl* control, ValidationGate* gate) {
-  const ExecBackend& ex = exec != nullptr ? *exec : serial_backend();
+  const ExecBackend& ex = exec_or_inline(exec);
   QPLEC_REQUIRE(out.size() == static_cast<std::size_t>(view.num_items()));
   QPLEC_REQUIRE(lists.size() == static_cast<std::size_t>(view.num_items()));
   // Gate draws happen here on the coordinating thread — never inside a

@@ -70,7 +70,7 @@ struct ConflictSolveResult {
 /// Full base-case list coloring on a conflict view: Linial-reduce the given
 /// initial proper coloring (phi0, palette0) to an O(d^2) palette, then sweep.
 /// Writes into out[item] for active items.  Both stages run their per-item
-/// passes on `exec` (null = serial backend) with bit-identical results.
+/// passes on `exec` (null = one inline lane) with bit-identical results.
 /// `gate` tiers both stages' demoted validation walks.
 ConflictSolveResult solve_conflict_list(
     const ConflictView& view, const std::vector<ColorList>& lists,

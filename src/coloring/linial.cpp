@@ -125,14 +125,14 @@ LinialParams choose_linial_params(std::uint64_t palette, int degree_bound) {
 std::vector<std::uint64_t> linial_step(const ConflictView& view,
                                        const std::vector<std::uint64_t>& colors,
                                        LinialParams params, const ExecBackend* exec) {
-  const ExecBackend& ex = exec != nullptr ? *exec : serial_backend();
+  const ExecBackend& ex = exec_or_inline(exec);
   return linial_step_impl(build_linial_memo(view, ex), colors, params, ex);
 }
 
 LinialResult linial_reduce(const ConflictView& view, std::vector<std::uint64_t> colors,
                            std::uint64_t palette, int degree_bound, RoundLedger& ledger,
                            const ExecBackend* exec, ValidationGate* gate) {
-  const ExecBackend& ex = exec != nullptr ? *exec : serial_backend();
+  const ExecBackend& ex = exec_or_inline(exec);
   QPLEC_REQUIRE(colors.size() == static_cast<std::size_t>(view.num_items()));
   LinialResult out;
   out.colors = std::move(colors);

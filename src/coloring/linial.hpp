@@ -45,7 +45,7 @@ struct LinialResult {
 /// `colors` must be a proper coloring of the active items of `view` with
 /// values in [0, palette); degree_bound must upper-bound the conflict degree
 /// of every active item.  Charges one round per iteration to the ledger.
-/// The per-item passes run on `exec` (null = the serial backend): every step
+/// The per-item passes run on `exec` (null = one inline lane): every step
 /// writes only its own item's slot and reads the previous round's committed
 /// colors, so results are bit-identical for any backend and lane count.
 /// `gate` (optional) tiers the final standalone properness walk; the inline

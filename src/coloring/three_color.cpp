@@ -9,7 +9,7 @@ ThreeColorResult three_color_paths_cycles(const ConflictView& view,
                                           const std::vector<std::uint64_t>& phi,
                                           std::uint64_t palette, RoundLedger& ledger,
                                           const ExecBackend* exec, ValidationGate* gate) {
-  const ExecBackend& ex = exec != nullptr ? *exec : serial_backend();
+  const ExecBackend& ex = exec_or_inline(exec);
   // Demoted precondition sweep: the internal caller (defective_edge_coloring)
   // enforces the degree bound structurally and just re-derived it under the
   // same gate; standalone callers (gate == nullptr) keep the full check.

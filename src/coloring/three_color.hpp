@@ -28,7 +28,7 @@ struct ThreeColorResult {
 /// view must have maximum conflict degree <= 2 (throws otherwise);
 /// phi/palette: a proper initial coloring of the active items.  The inner
 /// Linial reduction and class sweep run their per-item passes on `exec`
-/// (null = serial backend) with bit-identical results.
+/// (null = one inline lane) with bit-identical results.
 /// `gate` (optional) tiers the entry degree sweep and the final properness
 /// walk; null keeps the seed's always-validate behavior.
 ThreeColorResult three_color_paths_cycles(const ConflictView& view,

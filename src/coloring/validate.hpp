@@ -11,7 +11,7 @@
 
 #include "src/coloring/conflict.hpp"
 #include "src/coloring/problem.hpp"
-#include "src/dist/reducer.hpp"
+#include "src/dist/backend.hpp"
 #include "src/graph/graph.hpp"
 #include "src/graph/subset.hpp"
 
@@ -70,7 +70,7 @@ bool is_proper_on_conflict(const ConflictView& view, const std::vector<ColorT>& 
 template <typename ColorT>
 bool is_proper_on_conflict(const ConflictView& view, const std::vector<ColorT>& colors,
                            const ExecBackend& exec) {
-  DeterministicReducer<char> ok(exec.lanes(), 1);
+  LaneScratch<char> ok(exec.lanes(), 1);
   exec.for_indices(view.num_items(), [&](int lane, int i) {
     if (!view.active(i) || ok.lane(lane) == 0) return;
     bool good = true;

@@ -86,11 +86,11 @@ struct ExecConfig {
   /// Solver ignores it.
   int workers = 0;
 
-  /// Number of shards one instance's rounds are split into; <= 1 runs the
-  /// seed's serial path.
+  /// Number of shards one instance's rounds are split into; <= 1 runs every
+  /// pass inline on one lane (the seed's serial path).
   int shards = 1;
 
-  /// Worker threads backing the sharded backend; <= 0 picks
+  /// Worker threads backing a sharded ExecBackend; <= 0 picks
   /// min(shards, hardware concurrency).  Ignored when shared_pool is set
   /// (the lease carries its own size).
   int shard_threads = 0;
@@ -99,8 +99,8 @@ struct ExecConfig {
   /// shards > 1 (per-round fan-out overhead dwarfs the step work below it).
   int min_sharded_edges = 20000;
 
-  /// Leased shard-worker pool (non-owning).  When set, every
-  /// ShardedExecution built from this config runs on this pool instead of
+  /// Leased shard-worker pool (non-owning).  When set, every sharded
+  /// ExecBackend built from this config runs on this pool instead of
   /// spawning its own threads — the service sizes one pool for the whole
   /// workload and leases it to each sharded solve.  The pool must outlive
   /// every solver carrying this config; concurrent solves serialize their
@@ -178,7 +178,7 @@ struct ExecConfig {
 
   /// Worker count a shard pool built from this config gets: shard_threads if
   /// set, else min(shards, hardware concurrency).  The single sizing policy
-  /// for a solve-owned pool (ShardedExecution) and the service-wide shared
+  /// for a solve-owned pool (ExecBackend) and the service-wide shared
   /// pool alike.
   int pool_threads() const;
 

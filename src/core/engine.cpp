@@ -9,7 +9,7 @@
 #include "src/common/log.hpp"
 #include "src/common/math.hpp"
 #include "src/core/pass_timer.hpp"
-#include "src/dist/reducer.hpp"
+#include "src/dist/backend.hpp"
 #include "src/obs/metrics.hpp"
 
 namespace qplec {
@@ -52,7 +52,7 @@ SolverEngine::SolverEngine(const Graph& g, std::vector<ColorList> lists, Color p
       ledger_(ledger),
       stats_(stats),
       base_depth_(depth),
-      exec_(exec != nullptr ? exec : &serial_backend()),
+      exec_(&exec_or_inline(exec)),
       config_(config),
       gate_(config.make_validation_gate()),
       control_(control),
@@ -167,7 +167,7 @@ int SolverEngine::induced_degree(int lane, EdgeId e, const EdgeSubset& s) const 
 }
 
 int SolverEngine::max_induced_degree(const EdgeSubset& s) const {
-  DeterministicReducer<int> deg(exec_->lanes(), 0);
+  LaneScratch<int> deg(exec_->lanes(), 0);
   exec_->for_members(s, [&](int lane, EdgeId e) {
     deg.lane(lane) = std::max(deg.lane(lane), induced_degree(lane, e, s));
   });
@@ -184,7 +184,7 @@ int SolverEngine::round_head(const EdgeSubset& H, const char* invariant) {
   ++stats_.profile.supersteps;
   const PassTimer profile_timer(stats_.profile.pass_ms, "superstep");
   const PassTimer timer(stats_.refresh_ms);
-  DeterministicReducer<int> deg(exec_->lanes(), 0);
+  LaneScratch<int> deg(exec_->lanes(), 0);
   if (cache_) cache_->flush();
   exec_->for_members(H, [&](int lane, EdgeId e) {
     prune_list(lane, e);
@@ -202,7 +202,7 @@ int SolverEngine::relaxed_head(const EdgeSubset& A, double slack, Color lo, Colo
   const bool validate = validation_due();
   ++stats_.profile.supersteps;
   const PassTimer profile_timer(stats_.profile.pass_ms, "relaxed-superstep");
-  DeterministicReducer<int> deg(exec_->lanes(), 0);
+  LaneScratch<int> deg(exec_->lanes(), 0);
   exec_->for_members(A, [&](int lane, EdgeId e) {
     const int di = induced_degree(lane, e, A);
     deg.lane(lane) = std::max(deg.lane(lane), di);
@@ -260,7 +260,7 @@ void SolverEngine::solve_no_slack(EdgeSubset H, int depth) {
     // everything else is an e-owned write.
     std::vector<int> deg0(static_cast<std::size_t>(g_.num_edges()), 0);
     const bool defect_due = validation_due();
-    DeterministicReducer<double> defect_ratio(exec_->lanes(), stats_.max_defect_ratio);
+    LaneScratch<double> defect_ratio(exec_->lanes(), stats_.max_defect_ratio);
     exec_->for_members(H, [&](int lane, EdgeId e) {
       deg0[static_cast<std::size_t>(e)] = induced_degree(lane, e, H);
       if (!defect_due) return;

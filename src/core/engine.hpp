@@ -108,11 +108,12 @@ class SolverEngine {
  public:
   /// lists: working lists (consumed); palette: colors lie in [0, palette);
   /// phi/phi_palette: proper edge coloring of g seeding the primitives.
-  /// exec: execution backend for the per-round edge steps AND the base-case
+  /// exec: the executor of the per-round edge steps AND the base-case
   /// primitive passes (Linial reduction, defective split, conflict solves —
-  /// src/coloring routes through it); null = serial; the backend must shard
-  /// this g.  Children created by the recursion run serial: their virtual
-  /// graphs are orders of magnitude smaller.
+  /// src/coloring routes through it); null = one inline lane; with more
+  /// lanes it must be built over this g.  Children created by the recursion
+  /// run on one inline lane: their virtual graphs are orders of magnitude
+  /// smaller.
   /// config: the round-loop knobs of the unified ExecConfig —
   /// use_neighbor_cache (maintain a NeighborColorCache so the refresh /
   /// mark-active / Lemma 4.3 restriction passes consume per-round deltas
@@ -229,7 +230,7 @@ class SolverEngine {
   RoundLedger& ledger_;
   SolverStats& stats_;
   int base_depth_;
-  const ExecBackend* exec_;  ///< never null; serial_backend() by default
+  const ExecBackend* exec_;  ///< never null; the 1-lane executor by default
   ExecConfig config_;        ///< round-loop knobs; children inherit the config
   ValidationGate gate_;      ///< per-engine cadence of the demoted walks
   const SolveControl* control_;  ///< null when uncontrolled; children inherit

@@ -1,7 +1,6 @@
 #include "src/core/recolor.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -154,15 +153,9 @@ RecolorOutcome repair_recolor(const RecolorPlan& plan, const Policy& policy,
     return fall_back();
   }
 
-  // Local repair.  Backend selection mirrors Solver::run; every stage below
-  // is bit-identical across backends, so repaired colors are too.
-  std::unique_ptr<ShardedExecution> sharded;
-  const ExecBackend* exec = nullptr;
-  if (config.wants_sharding(m2)) {
-    sharded = std::make_unique<ShardedExecution>(g2, config);
-    exec = &sharded->backend();
-  }
-  const ExecBackend& backend = exec != nullptr ? *exec : serial_backend();
+  // Local repair.  The executor is built as in Solver::run; every stage
+  // below is bit-identical for any lane count, so repaired colors are too.
+  const ExecBackend exec(g2, config);
 
   RoundLedger ledger;
   const auto checkpoint = [&] {
@@ -192,12 +185,12 @@ RecolorOutcome repair_recolor(const RecolorPlan& plan, const Policy& policy,
   // The NeighborColorCache's churn row build materializes live rows ONLY for
   // the region — the delta-application path, not the full O(sum deg^2)
   // rebuild — and one consume per region edge removes exactly the carried
-  // neighbor colors.  One gather round, fanned out over the backend.
+  // neighbor colors.  One gather round, fanned out over the executor.
   const trace::Span span("churn-repair", "solver");
   auto scope = ledger.sequential("churn-repair");
-  NeighborColorCache rows(g2, plan.carried, backend, &region);
+  NeighborColorCache rows(g2, plan.carried, exec, &region);
   std::vector<ColorList> effective(static_cast<std::size_t>(m2));
-  backend.for_members(region, [&](int lane, EdgeId e) {
+  exec.for_members(region, [&](int lane, EdgeId e) {
     ColorList& list = effective[static_cast<std::size_t>(e)];
     list = plan.mutated.lists[static_cast<std::size_t>(e)];
     rows.consume(lane, e, list);
@@ -224,7 +217,7 @@ RecolorOutcome repair_recolor(const RecolorPlan& plan, const Policy& policy,
   std::vector<Color> repaired(static_cast<std::size_t>(m2), kUncolored);
   const ConflictSolveResult sweep =
       solve_conflict_list(view, effective, phi, static_cast<std::uint64_t>(m2),
-                          region.max_induced_edge_degree(g2), repaired, ledger, exec, control,
+                          region.max_induced_edge_degree(g2), repaired, ledger, &exec, control,
                           &gate);
 
   out.result.colors = plan.carried;

@@ -1,7 +1,5 @@
 #include "src/core/solver.hpp"
 
-#include <memory>
-
 #include "src/coloring/conflict.hpp"
 #include "src/coloring/initial.hpp"
 #include "src/coloring/linial.hpp"
@@ -16,11 +14,10 @@ namespace {
 
 /// The solve pipeline (phase 0 initial coloring + Linial reduction, the
 /// Section 4 recursion, final validation, ledger totals): everything
-/// Solver::run does after choosing the execution backend.  `exec` null =
-/// serial; `instance` must be non-empty and pre-validated; slack > 1.0 takes
-/// the relaxed path.
+/// Solver::run does after building the executor.  `instance` must be
+/// non-empty and pre-validated; slack > 1.0 takes the relaxed path.
 SolveResult solve_pipeline(const ListEdgeColoringInstance& instance, const Policy& policy,
-                           double slack, const ExecBackend* exec, const ExecConfig& config,
+                           double slack, const ExecBackend& exec, const ExecConfig& config,
                            const SolveControl* control) {
   const Graph& g = instance.graph;
   SolveResult res;
@@ -39,7 +36,7 @@ SolveResult solve_pipeline(const ListEdgeColoringInstance& instance, const Polic
   {
     auto scope = ledger.sequential("initial-coloring");
     const trace::Span span("initial-coloring", "solver");
-    lin = linial_reduce(view, init.colors, init.palette, g.max_edge_degree(), ledger, exec);
+    lin = linial_reduce(view, init.colors, init.palette, g.max_edge_degree(), ledger, &exec);
   }
   res.initial_rounds = ledger.total();
   res.phi_palette = lin.palette;
@@ -47,7 +44,7 @@ SolveResult solve_pipeline(const ListEdgeColoringInstance& instance, const Polic
 
   // Phases 1+: the Section 4 recursion.
   SolverEngine engine(g, instance.lists, instance.palette_size, std::move(lin.colors),
-                      lin.palette, policy, ledger, res.stats, 0, exec, config, control);
+                      lin.palette, policy, ledger, res.stats, 0, &exec, config, control);
   {
     auto scope = ledger.sequential("list-edge-coloring");
     const trace::Span span("list-edge-coloring", "solver");
@@ -103,14 +100,9 @@ SolveResult Solver::run(const ListEdgeColoringInstance& instance, double slack,
     return res;
   }
 
-  // Large instances fan out over edge shards (src/dist); the rest stay on
-  // the serial backend.
-  std::unique_ptr<ShardedExecution> sharded;
-  const ExecBackend* exec = nullptr;
-  if (config_.wants_sharding(g.num_edges())) {
-    sharded = std::make_unique<ShardedExecution>(g, config_);
-    exec = &sharded->backend();
-  }
+  // Large instances fan out over edge shards (src/dist); the rest run on
+  // one inline lane.
+  const ExecBackend exec(g, config_);
   return solve_pipeline(instance, policy_, slack, exec, config_, control);
 }
 

@@ -24,7 +24,7 @@
 #include "src/core/lemma44.hpp"
 #include "src/core/pass_timer.hpp"
 #include "src/common/math.hpp"
-#include "src/dist/reducer.hpp"
+#include "src/dist/backend.hpp"
 #include "src/graph/builder.hpp"
 
 namespace qplec {
@@ -260,7 +260,7 @@ std::vector<int> SolverEngine::assign_subspaces(const EdgeSubset& A, Color lo, C
   // part_of is fully assigned and read-only here; each edge replaces only
   // its own working list.  The tightness statistic folds per lane.
   const PassTimer restrict_timer(stats_.restrict_ms, "restrict");
-  DeterministicReducer<double> eq2_ratio(exec_->lanes(), stats_.max_eq2_ratio);
+  LaneScratch<double> eq2_ratio(exec_->lanes(), stats_.max_eq2_ratio);
   exec_->for_members(A, [&](int lane, EdgeId e) {
     const std::size_t i = static_cast<std::size_t>(e);
     QPLEC_ASSERT_MSG(part_of[i] >= 0, "edge " << e << " left without a subspace");

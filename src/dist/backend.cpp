@@ -1,110 +1,37 @@
 #include "src/dist/backend.hpp"
 
-#include <algorithm>
-
-#include "src/runtime/thread_pool.hpp"
-
 namespace qplec {
 
-void SerialBackend::for_members(const EdgeSubset& s,
-                                const std::function<void(int, EdgeId)>& fn) const {
-  s.for_each([&](EdgeId e) { fn(0, e); });
+ExecBackend::ExecBackend(const Graph& g, int shards, ThreadPool& pool) {
+  shard(g, shards, pool);
 }
 
-void SerialBackend::for_indices(int count, const std::function<void(int, int)>& fn) const {
-  for (int i = 0; i < count; ++i) fn(0, i);
-}
-
-void SerialBackend::for_nodes(const Graph& g,
-                              const std::function<void(int, NodeId)>& fn) const {
-  for (NodeId v = 0; v < g.num_nodes(); ++v) fn(0, v);
-}
-
-void SerialBackend::for_edge_ranges(
-    int universe, const std::function<void(int, EdgeId, EdgeId)>& fn) const {
-  QPLEC_REQUIRE(universe >= 0);
-  if (universe == 0) return;
-  fn(0, 0, static_cast<EdgeId>(universe));
-}
-
-const ExecBackend& serial_backend() {
-  static const SerialBackend backend;
-  return backend;
-}
-
-// The node partition is capped at the edge-shard count so a for_nodes lane
-// index always fits accumulators sized by lanes() (on a tree the edge
-// universe clamps to n-1 shards while the node universe could take n).
-ShardedBackend::ShardedBackend(const Graph& g, int shards, ThreadPool& pool)
-    : g_(&g),
-      partition_(g, shards),
-      node_partition_(g, partition_.num_shards()),
-      pool_(&pool) {}
-
-void ShardedBackend::for_members(const EdgeSubset& s,
-                                 const std::function<void(int, EdgeId)>& fn) const {
-  QPLEC_REQUIRE_MSG(s.universe_size() == g_->num_edges(),
-                    "subset universe does not match the sharded graph");
-  pool_->run_indexed(partition_.num_shards(), [&](int, int shard) {
-    const EdgeShard& es = partition_.shard(shard);
-    for (EdgeId e = es.edge_begin; e < es.edge_end; ++e) {
-      if (s.contains(e)) fn(shard, e);
-    }
-  });
-}
-
-void ShardedBackend::for_indices(int count, const std::function<void(int, int)>& fn) const {
-  QPLEC_REQUIRE(count >= 0);
-  if (count == 0) return;
-  if (count == g_->num_edges()) {
-    // An index space the size of the edge universe is (in every current
-    // caller, and harmlessly otherwise) edge-indexed: reuse the
-    // degree-balanced edge shards instead of an even count split, so hub
-    // edges don't pile into one lane.  Any contiguous ascending lane split
-    // is equivalent for determinism.
-    pool_->run_indexed(partition_.num_shards(), [&](int, int shard) {
-      const EdgeShard& es = partition_.shard(shard);
-      for (EdgeId e = es.edge_begin; e < es.edge_end; ++e) fn(shard, static_cast<int>(e));
-    });
-    return;
-  }
-  const int lanes = std::min(partition_.num_shards(), count);
-  pool_->run_indexed(lanes, [&](int, int lane) {
-    const int begin = static_cast<int>(static_cast<std::int64_t>(count) * lane / lanes);
-    const int end = static_cast<int>(static_cast<std::int64_t>(count) * (lane + 1) / lanes);
-    for (int i = begin; i < end; ++i) fn(lane, i);
-  });
-}
-
-void ShardedBackend::for_edge_ranges(
-    int universe, const std::function<void(int, EdgeId, EdgeId)>& fn) const {
-  QPLEC_REQUIRE_MSG(universe == g_->num_edges(),
-                    "for_edge_ranges universe does not match the sharded graph");
-  if (universe == 0) return;
-  pool_->run_indexed(partition_.num_shards(), [&](int, int shard) {
-    const EdgeShard& es = partition_.shard(shard);
-    fn(shard, es.edge_begin, es.edge_end);
-  });
-}
-
-void ShardedBackend::for_nodes(const Graph& g,
-                               const std::function<void(int, NodeId)>& fn) const {
-  QPLEC_REQUIRE_MSG(&g == g_, "for_nodes graph does not match the sharded graph");
-  pool_->run_indexed(node_partition_.num_shards(), [&](int, int shard) {
-    const NodeShard& ns = node_partition_.shard(shard);
-    for (NodeId v = ns.node_begin; v < ns.node_end; ++v) fn(shard, v);
-  });
-}
-
-ShardedExecution::ShardedExecution(const Graph& g, const ExecConfig& config) {
+ExecBackend::ExecBackend(const Graph& g, const ExecConfig& config) {
+  if (config.effective_shards(g.num_edges()) <= 1) return;
   ThreadPool* pool = config.shared_pool;
   if (pool == nullptr) {
     owned_pool_ = std::make_unique<ThreadPool>(config.pool_threads());
     pool = owned_pool_.get();
   }
-  backend_ = std::make_unique<ShardedBackend>(g, config.shards, *pool);
+  shard(g, config.shards, *pool);
 }
 
-ShardedExecution::~ShardedExecution() = default;
+// The edge partition clamps shards to the edge count, so more than one lane
+// needs at least two edges.  The node partition is capped at the edge-shard
+// count so a for_nodes lane index always fits slots sized by lanes() (on a
+// tree the edge universe clamps to n-1 shards while the node universe could
+// take n).
+void ExecBackend::shard(const Graph& g, int shards, ThreadPool& pool) {
+  if (shards <= 1 || g.num_edges() <= 1) return;
+  g_ = &g;
+  edges_.emplace(g, shards);
+  nodes_.emplace(g, edges_->num_shards());
+  pool_ = &pool;
+}
+
+const ExecBackend& exec_or_inline(const ExecBackend* exec) {
+  static const ExecBackend inline_exec;
+  return exec != nullptr ? *exec : inline_exec;
+}
 
 }  // namespace qplec

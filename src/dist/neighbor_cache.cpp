@@ -6,7 +6,6 @@ NeighborColorCache::NeighborColorCache(const Graph& g, const EdgeColoring& final
                                        const ExecBackend& exec, const EdgeSubset* rows)
     : g_(&g),
       final_(&final),
-      exec_(&exec),
       num_edges_(g.num_edges()),
       queues_(exec.lanes()),
       drops_(exec.lanes()) {
@@ -27,9 +26,9 @@ NeighborColorCache::NeighborColorCache(const Graph& g, const EdgeColoring& final
         (materialize ? static_cast<std::size_t>(g.edge_degree(static_cast<EdgeId>(e))) : 0);
   }
   nbrs_.resize(offsets_[m]);
-  // Row fill runs over the backend's unique-writer edge ranges: each lane
+  // Row fill runs over the executor's unique-writer edge ranges: each lane
   // fills exactly the CSR rows of the edges it owns.
-  exec_->for_edge_ranges(num_edges_, [&](int, EdgeId begin, EdgeId end) {
+  exec.for_edge_ranges(num_edges_, [&](int, EdgeId begin, EdgeId end) {
     for (EdgeId e = begin; e < end; ++e) {
       if (rows != nullptr && !rows->contains(e)) continue;
       std::size_t w = offsets_[static_cast<std::size_t>(e)];

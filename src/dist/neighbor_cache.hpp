@@ -213,16 +213,11 @@ class NeighborColorCache {
   /// Total (edge, finalized neighbor) pairs handled incrementally: each
   /// pair is dropped from a live row exactly once — either removed directly
   /// by a consume or deferred through pending.  Coordinating thread only.
-  std::int64_t colors_removed() const {
-    std::int64_t total = 0;
-    for (int lane = 0; lane < drops_.num_lanes(); ++lane) total += drops_.lane(lane);
-    return total;
-  }
+  std::int64_t colors_removed() const { return drops_.sum(); }
 
  private:
   const Graph* g_;
   const EdgeColoring* final_;
-  const ExecBackend* exec_;
   int num_edges_;
 
   LaneScratch<std::vector<EdgeId>> queues_;

@@ -1,6 +1,6 @@
 // Partitioner — contiguous shard decompositions of one CSR graph.
 //
-// The sharded backend (src/dist/backend.hpp) needs a decomposition of one
+// The sharded executor (src/dist/backend.hpp) needs a decomposition of one
 // instance into S pieces such that (a) every piece is a contiguous id range,
 // so per-shard results concatenated in shard order are in global id order
 // for any S — the keystone of the determinism guarantee — and (b) the pieces

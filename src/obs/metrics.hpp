@@ -4,8 +4,8 @@
 // service worker:
 //
 //   * Counter — monotone event count.  Increments land in one of a fixed set
-//     of cache-line-padded cells (the DeterministicReducer layout, see
-//     src/dist/reducer.hpp) selected by the caller's lane, so parallel
+//     of cache-line-padded cells (the LaneScratch layout, see
+//     src/dist/backend.hpp) selected by the caller's lane, so parallel
 //     increments never share a line; value() folds the cells in cell order.
 //     Because every count is algorithm-determined (not wall-clock sampled),
 //     the folded total is bit-identical for any lane count.
@@ -71,7 +71,7 @@ class Counter {
         n, std::memory_order_relaxed);
   }
 
-  /// Folds the cells in cell order (the DeterministicReducer rule; integer
+  /// Folds the cells in cell order (the LaneScratch fold rule; integer
   /// addition is associative, so any lane layout folds to the same total).
   std::uint64_t value() const {
     std::uint64_t total = 0;

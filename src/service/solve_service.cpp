@@ -465,7 +465,7 @@ SolveService::SolveService(ExecConfig config)
   if (config_.max_cache_bytes > 0) impl_->snapshot_max_bytes = config_.max_cache_bytes;
 
   // The shard-worker lease (PR 3 pool-ownership rules): one pool, sized once,
-  // shared by every solve this service routes to the sharded backend.  It
+  // shared by every solve this service runs sharded.  It
   // must be a DIFFERENT pool than the solve workers' — a worker fanning a
   // round out onto its own pool would self-deadlock behind the lease.
   if (config_.shards > 1) {

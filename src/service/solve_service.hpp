@@ -15,8 +15,8 @@
 //     the existing work-stealing ThreadPool (the pool schedules the workers,
 //     the queue schedules the jobs: highest priority first, FIFO within a
 //     priority).  Submission never blocks on solving.
-//   * ONE shared shard-worker pool (the PR 3 lease rules): every job routed
-//     to the sharded backend leases the same pool via
+//   * ONE shared shard-worker pool (the PR 3 lease rules): every job that
+//     runs sharded leases the same pool via
 //     ExecConfig::shared_pool, so concurrent big instances serialize their
 //     round fan-outs instead of oversubscribing the machine.
 //   * The API boundary never throws: every failure mode — malformed input,

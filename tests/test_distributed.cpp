@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/coloring/conflict.hpp"
 #include "src/coloring/greedy.hpp"
 #include "src/coloring/initial.hpp"
@@ -16,17 +18,17 @@
 namespace qplec {
 namespace {
 
-// gtest names each case after the raw bytes of its CrossCase.  `name_key`
-// fills the four bytes that used to be padding, so those bytes are no longer
-// uninitialized memory: every case keeps one fixed ctest name, the one it has
-// been tracked under.  It plays no part in the test itself.
 struct CrossCase {
   int n;
-  std::uint32_t name_key;
   double p;
   std::uint64_t seed;
 };
-static_assert(sizeof(CrossCase) == 24, "CrossCase must have no padding bytes");
+
+// gtest prints a parameter into the ctest name; without this it dumps the
+// struct's raw bytes, padding included.
+void PrintTo(const CrossCase& c, std::ostream* os) {
+  *os << "n" << c.n << "/p" << c.p << "/s" << c.seed;
+}
 
 class DistributedCrossCheck : public ::testing::TestWithParam<CrossCase> {};
 
@@ -63,9 +65,9 @@ TEST_P(DistributedCrossCheck, MatchesConflictViewImplementationExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DistributedCrossCheck,
-                         ::testing::Values(CrossCase{12, 3, 0.3, 1}, CrossCase{20, 0, 0.2, 2},
-                                           CrossCase{24, 0, 0.15, 3}, CrossCase{16, 0, 0.5, 4},
-                                           CrossCase{30, 0, 0.1, 5}, CrossCase{8, 0, 0.9, 6}));
+                         ::testing::Values(CrossCase{12, 0.3, 1}, CrossCase{20, 0.2, 2},
+                                           CrossCase{24, 0.15, 3}, CrossCase{16, 0.5, 4},
+                                           CrossCase{30, 0.1, 5}, CrossCase{8, 0.9, 6}));
 
 TEST(Distributed, SolvesListInstances) {
   const Graph g = make_random_regular(20, 4, 7).with_scrambled_ids(400, 8);

@@ -1,7 +1,7 @@
-// The backend-routed base-case pipeline's contract: every primitive that
+// The executor-routed base-case pipeline's contract: every primitive that
 // runs through an ExecBackend — Linial reduction, the defective split, the
-// greedy conflict solve — produces results bit-identical to the serial
-// backend for any shard count, and the leased-shared-pool execution model
+// greedy conflict solve — produces results bit-identical to the 1-lane
+// executor for any shard count, and the leased-shared-pool execution model
 // (one ThreadPool serving many sharded solves, concurrently) changes
 // nothing about any solver output.
 #include "src/dist/backend.hpp"
@@ -28,13 +28,14 @@ namespace {
 
 using test_support::smoke_scenarios;
 
-const int kShardCounts[] = {1, 2, 7};
+const int kShardCounts[] = {1, 2, 3, 4, 7};
 
 TEST(ExecBackend, ForNodesVisitsEveryNodeOnceInAscendingLaneOrder) {
   const Graph g = make_power_law(60, 2.5, 12.0, 7);
   ThreadPool pool(4);
   for (const int shards : kShardCounts) {
-    const ShardedBackend backend(g, shards, pool);
+    const ExecBackend backend(g, shards, pool);
+    EXPECT_EQ(backend.lanes(), shards);
     std::vector<int> visits(static_cast<std::size_t>(g.num_nodes()), 0);
     std::vector<int> lane_of(static_cast<std::size_t>(g.num_nodes()), -1);
     backend.for_nodes(g, [&](int lane, NodeId v) {
@@ -54,14 +55,46 @@ TEST(ExecBackend, ForNodesVisitsEveryNodeOnceInAscendingLaneOrder) {
   }
 }
 
-TEST(ExecBackend, SerialBackendForNodesCoversAllNodes) {
+// One lane means inline: however the executor is built, all four passes run
+// on the calling thread, in ascending id order, and no pool is involved.
+TEST(ExecBackend, OneLaneRunsEveryPassOnTheCallingThread) {
   const Graph g = make_cycle(9);
-  int count = 0;
-  serial_backend().for_nodes(g, [&](int lane, NodeId) {
-    EXPECT_EQ(lane, 0);
-    ++count;
-  });
-  EXPECT_EQ(count, g.num_nodes());
+  ThreadPool pool(2);
+  ExecConfig below_threshold;
+  below_threshold.shards = 4;  // min_sharded_edges keeps a 9-edge graph on 1 lane
+  const ExecBackend default_built;
+  const ExecBackend pool_built(g, 1, pool);
+  const ExecBackend config_built(g, below_threshold);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const ExecBackend* ex : {&default_built, &pool_built, &config_built}) {
+    ASSERT_EQ(ex->lanes(), 1);
+    std::vector<int> order;
+    const auto visit = [&](int lane, int id) {
+      EXPECT_EQ(lane, 0);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(id);
+    };
+    std::vector<int> ascending(static_cast<std::size_t>(g.num_edges()));
+    for (int i = 0; i < g.num_edges(); ++i) ascending[static_cast<std::size_t>(i)] = i;
+
+    ex->for_members(EdgeSubset::all(g), visit);
+    EXPECT_EQ(order, ascending);
+    order.clear();
+    ex->for_indices(g.num_edges(), visit);
+    EXPECT_EQ(order, ascending);
+    order.clear();
+    ex->for_nodes(g, visit);
+    EXPECT_EQ(static_cast<int>(order.size()), g.num_nodes());
+    int ranges = 0;
+    ex->for_edge_ranges(g.num_edges(), [&](int lane, EdgeId begin, EdgeId end) {
+      EXPECT_EQ(lane, 0);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      EXPECT_EQ(begin, 0);
+      EXPECT_EQ(end, g.num_edges());
+      ++ranges;
+    });
+    EXPECT_EQ(ranges, 1);
+  }
 }
 
 TEST(ExecBackend, LaneScratchSlotsAreIndependent) {
@@ -72,6 +105,18 @@ TEST(ExecBackend, LaneScratchSlotsAreIndependent) {
   EXPECT_EQ(scratch.lane(0).size(), 1u);
   EXPECT_TRUE(scratch.lane(1).empty());
   EXPECT_EQ(scratch.lane(2).front(), 7);
+
+  // The folds start from the init value every slot was seeded with.
+  LaneScratch<int> acc(3, 2);
+  acc.lane(0) = 5;
+  acc.lane(2) = -1;
+  EXPECT_EQ(acc.sum(), 2 + 5 + 2 - 1);
+  EXPECT_EQ(acc.max(), 5);
+  EXPECT_EQ(acc.min(), -1);
+  LaneScratch<char> flags(2, 1);
+  EXPECT_TRUE(flags.all());
+  flags.lane(1) = 0;
+  EXPECT_FALSE(flags.all());
 }
 
 TEST(ExecBackend, MaxConflictDegreeMatchesSerialScan) {
@@ -82,7 +127,7 @@ TEST(ExecBackend, MaxConflictDegreeMatchesSerialScan) {
     const int expected = view.max_degree();
     ThreadPool pool(3);
     for (const int shards : kShardCounts) {
-      const ShardedBackend backend(g, shards, pool);
+      const ExecBackend backend(g, shards, pool);
       EXPECT_EQ(max_conflict_degree(view, &backend), expected)
           << scenario.name() << " shards=" << shards;
     }
@@ -90,8 +135,8 @@ TEST(ExecBackend, MaxConflictDegreeMatchesSerialScan) {
   }
 }
 
-// Linial reduction through the sharded backend: identical colors, palette,
-// round counts and ledger charges as the serial path, on every smoke
+// Linial reduction through a sharded executor: identical colors, palette,
+// round counts and ledger charges as the 1-lane executor, on every smoke
 // scenario and shard count.
 TEST(ExecBackend, LinialReduceMatchesSerialAcrossShardCounts) {
   for (const Scenario& scenario : smoke_scenarios()) {
@@ -101,13 +146,14 @@ TEST(ExecBackend, LinialReduceMatchesSerialAcrossShardCounts) {
     const LineGraphConflict view(g, EdgeSubset::all(g));
     const InitialColoring init = initial_edge_coloring_from_ids(g);
 
+    const ExecBackend one_lane;
     RoundLedger serial_ledger;
     const LinialResult serial = linial_reduce(view, init.colors, init.palette,
-                                              g.max_edge_degree(), serial_ledger);
+                                              g.max_edge_degree(), serial_ledger, &one_lane);
 
     ThreadPool pool(3);
     for (const int shards : kShardCounts) {
-      const ShardedBackend backend(g, shards, pool);
+      const ExecBackend backend(g, shards, pool);
       RoundLedger ledger;
       const LinialResult res = linial_reduce(view, init.colors, init.palette,
                                              g.max_edge_degree(), ledger, &backend);
@@ -120,7 +166,7 @@ TEST(ExecBackend, LinialReduceMatchesSerialAcrossShardCounts) {
   }
 }
 
-// The defective split through the sharded backend: identical class
+// The defective split through a sharded executor: identical class
 // assignment, class count and rounds on every smoke scenario.
 TEST(ExecBackend, DefectiveColoringMatchesSerialAcrossShardCounts) {
   for (const Scenario& scenario : smoke_scenarios()) {
@@ -131,13 +177,14 @@ TEST(ExecBackend, DefectiveColoringMatchesSerialAcrossShardCounts) {
     const InitialColoring init = initial_edge_coloring_from_ids(g);
     const int beta = 2;
 
+    const ExecBackend one_lane;
     RoundLedger serial_ledger;
-    const DefectiveColoring serial =
-        defective_edge_coloring(g, all, beta, init.colors, init.palette, serial_ledger);
+    const DefectiveColoring serial = defective_edge_coloring(
+        g, all, beta, init.colors, init.palette, serial_ledger, &one_lane);
 
     ThreadPool pool(3);
     for (const int shards : kShardCounts) {
-      const ShardedBackend backend(g, shards, pool);
+      const ExecBackend backend(g, shards, pool);
       RoundLedger ledger;
       const DefectiveColoring res = defective_edge_coloring(
           g, all, beta, init.colors, init.palette, ledger, &backend);
@@ -151,8 +198,8 @@ TEST(ExecBackend, DefectiveColoringMatchesSerialAcrossShardCounts) {
   }
 }
 
-// The full base-case conflict solve (Linial + greedy class sweep) through
-// the sharded backend: identical output colorings.
+// The full base-case conflict solve (Linial + greedy class sweep) through a
+// sharded executor: identical output colorings.
 TEST(ExecBackend, ConflictSolveMatchesSerialAcrossShardCounts) {
   for (const Scenario& scenario : smoke_scenarios()) {
     const ListEdgeColoringInstance instance = build_instance(scenario);
@@ -163,13 +210,15 @@ TEST(ExecBackend, ConflictSolveMatchesSerialAcrossShardCounts) {
     const int d = g.max_edge_degree();
 
     std::vector<Color> serial_out(static_cast<std::size_t>(g.num_edges()), kUncolored);
+    const ExecBackend one_lane;
     RoundLedger serial_ledger;
-    const ConflictSolveResult serial = solve_conflict_list(
-        view, instance.lists, init.colors, init.palette, d, serial_out, serial_ledger);
+    const ConflictSolveResult serial =
+        solve_conflict_list(view, instance.lists, init.colors, init.palette, d, serial_out,
+                            serial_ledger, &one_lane);
 
     ThreadPool pool(3);
     for (const int shards : kShardCounts) {
-      const ShardedBackend backend(g, shards, pool);
+      const ExecBackend backend(g, shards, pool);
       std::vector<Color> out(static_cast<std::size_t>(g.num_edges()), kUncolored);
       RoundLedger ledger;
       const ConflictSolveResult res =

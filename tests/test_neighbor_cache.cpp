@@ -111,7 +111,8 @@ TEST(NeighborCache, ConsumeRemovesFinalizedNeighborColorExactlyOnce) {
   const Graph g = make_path(5);
   ASSERT_EQ(g.num_edges(), 4);
   EdgeColoring final(4, kUncolored);
-  NeighborColorCache cache(g, final, serial_backend());
+  const ExecBackend one_lane;
+  NeighborColorCache cache(g, final, one_lane);
   EXPECT_EQ(cache.live_degree_bound(0), g.edge_degree(0));
 
   final[1] = 7;
@@ -134,16 +135,17 @@ TEST(NeighborCache, ConsumeRemovesFinalizedNeighborColorExactlyOnce) {
 
 // Boundary crossing: a sharded cache (rows filled over the unique-writer
 // edge ranges, deltas noted on different lanes) behaves identically to the
-// serial cache when finalized edges sit at shard boundaries — the live rows,
+// 1-lane cache when finalized edges sit at shard boundaries — the live rows,
 // consume results and telemetry all match.
 TEST(NeighborCache, BoundaryFinalizationsMatchSerialAcrossShardCounts) {
   const Graph g = make_cycle(40);
   ThreadPool pool(3);
-  for (const int shards : {2, 7}) {
-    const ShardedBackend backend(g, shards, pool);
+  const ExecBackend one_lane;
+  for (const int shards : {1, 2, 3, 4, 7}) {
+    const ExecBackend backend(g, shards, pool);
     EdgeColoring final(static_cast<std::size_t>(g.num_edges()), kUncolored);
     NeighborColorCache sharded_cache(g, final, backend);
-    NeighborColorCache serial_cache(g, final, serial_backend());
+    NeighborColorCache serial_cache(g, final, one_lane);
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
       ASSERT_EQ(sharded_cache.live_degree_bound(e), serial_cache.live_degree_bound(e));
     }
@@ -182,7 +184,8 @@ TEST(NeighborCache, BoundaryFinalizationsMatchSerialAcrossShardCounts) {
 TEST(NeighborCache, ConsumeAfterRestrictionIsANoOpForDroppedColors) {
   const Graph g = make_path(4);  // edges e0, e1, e2
   EdgeColoring final(3, kUncolored);
-  NeighborColorCache cache(g, final, serial_backend());
+  const ExecBackend one_lane;
+  NeighborColorCache cache(g, final, one_lane);
 
   final[1] = 50;
   cache.note_finalized(0, 1);
@@ -203,7 +206,8 @@ TEST(NeighborCache, ConsumeAfterRestrictionIsANoOpForDroppedColors) {
 TEST(NeighborCache, LiveNeighborsMatchFilteredFullWalkAndDeferColors) {
   const Graph g = make_gnp(24, 0.3, 9);
   EdgeColoring final(static_cast<std::size_t>(g.num_edges()), kUncolored);
-  NeighborColorCache cache(g, final, serial_backend());
+  const ExecBackend one_lane;
+  NeighborColorCache cache(g, final, one_lane);
 
   // Finalize every third edge.
   EdgeSubset uncolored(g.num_edges());

@@ -292,7 +292,7 @@ TEST(PropertyFuzz, FusionAndValidationTierBitIdenticalAcrossRandomSweep) {
 // class at a time, forbidden rebuilt by a full neighborhood rescan.  The
 // scrambled-id initial coloring gives a huge palette of tiny classes, so the
 // quantum and the intra-batch independence check both exercise — on the
-// serial backend and on a 4-lane sharded one.
+// 1-lane executor and on 1, 2, 3, 4 and 7 lanes.
 TEST(PropertyFuzz, BatchedGreedySweepMatchesPerClassReference) {
   ThreadPool pool(2);
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
@@ -303,16 +303,11 @@ TEST(PropertyFuzz, BatchedGreedySweepMatchesPerClassReference) {
     const LineGraphConflict view(g, EdgeSubset::all(g));
     const InitialColoring init = initial_edge_coloring_from_ids(g);
 
+    const ExecBackend one_lane;
     std::vector<Color> batched(static_cast<std::size_t>(g.num_edges()), kUncolored);
     RoundLedger ledger;
-    greedy_by_classes(view, instance.lists, init.colors, init.palette, batched, ledger);
-
-    const ShardedBackend sharded(g, 4, pool);
-    ASSERT_EQ(sharded.lanes(), 4) << "seed " << seed;
-    std::vector<Color> batched_sharded(static_cast<std::size_t>(g.num_edges()), kUncolored);
-    RoundLedger sharded_ledger;
-    greedy_by_classes(view, instance.lists, init.colors, init.palette, batched_sharded,
-                      sharded_ledger, &sharded);
+    greedy_by_classes(view, instance.lists, init.colors, init.palette, batched, ledger,
+                      &one_lane);
 
     // Reference: classes in increasing order, forbidden from a full rescan.
     std::vector<Color> reference(static_cast<std::size_t>(g.num_edges()), kUncolored);
@@ -335,8 +330,19 @@ TEST(PropertyFuzz, BatchedGreedySweepMatchesPerClassReference) {
       }
     }
     EXPECT_EQ(batched, reference) << "seed " << seed;
-    EXPECT_EQ(batched_sharded, reference) << "seed " << seed;
-    EXPECT_TRUE(is_proper_on_conflict(view, batched, serial_backend())) << "seed " << seed;
+    EXPECT_TRUE(is_proper_on_conflict(view, batched, one_lane)) << "seed " << seed;
+
+    for (const int shards : {1, 2, 3, 4, 7}) {
+      const ExecBackend sharded(g, shards, pool);
+      ASSERT_EQ(sharded.lanes(), shards) << "seed " << seed;
+      std::vector<Color> batched_sharded(static_cast<std::size_t>(g.num_edges()), kUncolored);
+      RoundLedger sharded_ledger;
+      greedy_by_classes(view, instance.lists, init.colors, init.palette, batched_sharded,
+                        sharded_ledger, &sharded);
+      EXPECT_EQ(batched_sharded, reference) << "seed " << seed << " shards=" << shards;
+      EXPECT_TRUE(is_proper_on_conflict(view, batched_sharded, sharded))
+          << "seed " << seed << " shards=" << shards;
+    }
   }
 }
 

@@ -1,5 +1,5 @@
-// The sharded backend's contract: sharding is invisible.  For any shard
-// count the Solver on the sharded backend produces the same colorings, round
+// The sharded executor's contract: sharding is invisible.  For any shard
+// count the Solver on a sharded executor produces the same colorings, round
 // counts and ledger totals as the seed's serial path — bit for bit.
 #include "src/dist/backend.hpp"
 
@@ -22,8 +22,9 @@ using test_support::smoke_scenarios;
 TEST(ShardedBackend, VisitsEveryMemberExactlyOnce) {
   const Graph g = make_random_regular(50, 6, 9);
   ThreadPool pool(4);
-  for (const int shards : {1, 2, 7}) {
-    const ShardedBackend backend(g, shards, pool);
+  for (const int shards : {1, 2, 3, 4, 7}) {
+    const ExecBackend backend(g, shards, pool);
+    EXPECT_EQ(backend.lanes(), shards);
     EdgeSubset odd(g.num_edges());
     for (EdgeId e = 1; e < g.num_edges(); e += 2) odd.insert(e);
     std::vector<int> visits(static_cast<std::size_t>(g.num_edges()), 0);
